@@ -158,9 +158,6 @@ class EpistemicAction:
             object.__setattr__(self, "_guards", table)
         return table[agent]
 
-    def is_unconditional(self) -> bool:
-        return all(isinstance(g.condition, Top) for g in self.edges)
-
     def event_successors(self, agent: Agent, e: int, top_only: bool = False) -> tuple[int, ...]:
         """Sorted event successors including the implicit reflexive one."""
         out = {e}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConsistencyError, ModelError, VocabularyError
 from .logic import (
@@ -29,6 +29,7 @@ from .logic import (
 from .models import BeliefState
 
 Valuation = frozenset
+Node = TypeVar("Node")
 
 
 class SchemaAtom:
@@ -300,27 +301,55 @@ def reachable_system(
     return states, edges
 
 
-def solve_classical(task: PropositionalTask, depth_cap: int) -> list[str] | None:
-    """Shortest plan by breadth-first search over valuations, or None
-    within the cap; ties break by action order."""
+def breadth_first(
+    start: Node,
+    key: Callable[[Node], Hashable],
+    expand: Callable[[Node], Iterable[tuple[str, Node]]],
+    is_goal: Callable[[Node], bool],
+    depth_cap: int,
+) -> tuple[str, ...] | None:
+    """Shortest sequence of step names from ``start`` to a goal node, or
+    None within ``depth_cap`` steps.
+
+    Layered breadth-first search shared by every planning layer.
+    ``expand(node)`` yields (step name, successor) pairs in tie-break order
+    and is consumed lazily, so nothing past the first goal is computed.
+    A successor whose key was seen before is dropped before the goal test,
+    which runs when a node is generated."""
     if depth_cap < 0:
         raise ModelError("depth cap must be non-negative")
-    if eval_prop(task.initial, task.goal):
-        return []
-    visited = {task.initial}
-    frontier: list[tuple[Valuation, list[str]]] = [(task.initial, [])]
+    if is_goal(start):
+        return ()
+    visited = {key(start)}
+    frontier: list[tuple[Node, tuple[str, ...]]] = [(start, ())]
     depth = 0
     while frontier and depth < depth_cap:
         depth += 1
-        next_frontier: list[tuple[Valuation, list[str]]] = []
-        for state, path in frontier:
-            for action in task.actions:
-                result = apply_ground(state, action)
-                if result is None or result in visited:
+        next_frontier: list[tuple[Node, tuple[str, ...]]] = []
+        for node, path in frontier:
+            for name, succ in expand(node):
+                succ_key = key(succ)
+                if succ_key in visited:
                     continue
-                if eval_prop(result, task.goal):
-                    return path + [action.name]
-                visited.add(result)
-                next_frontier.append((result, path + [action.name]))
+                if is_goal(succ):
+                    return path + (name,)
+                visited.add(succ_key)
+                next_frontier.append((succ, path + (name,)))
         frontier = next_frontier
     return None
+
+
+def solve_classical(task: PropositionalTask, depth_cap: int) -> list[str] | None:
+    """Shortest plan by breadth-first search over valuations, or None
+    within the cap; ties break by action order."""
+
+    def expand(state: Valuation):
+        for action in task.actions:
+            result = apply_ground(state, action)
+            if result is not None:
+                yield action.name, result
+
+    steps = breadth_first(
+        task.initial, lambda v: v, expand, lambda v: eval_prop(v, task.goal), depth_cap
+    )
+    return None if steps is None else list(steps)

@@ -1,11 +1,12 @@
 """Command-line interface over ``.eplan`` task files.
 
 Exit codes: 0 success or solution found; 1 no solution within the depth
-cap (or execution cutoff); 2 usage, parse, or resolution errors; 3 a
-validation or check failure. ``solve`` always validates its own output
-before printing, so an internal soundness bug surfaces as exit 3, never
-as a silently wrong plan. Identical invocations produce byte-identical
-output; set EPLAN_LOG=debug for diagnostics on stderr.
+cap (or execution cutoff); 2 usage, parse, or resolution errors, including
+input nested too deeply to evaluate; 3 a validation or check failure.
+``solve`` always validates its own output before printing, so an internal
+soundness bug surfaces as exit 3, never as a silently wrong plan.
+Identical invocations produce byte-identical output; set EPLAN_LOG=debug
+for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 
@@ -303,12 +307,10 @@ def _policy_rows(policy: Policy) -> list[dict]:
     return rows
 
 
-def _policy_tree(task: EpistemicTask, policy: Policy) -> list[str]:
-    from .planner import _owner_classes
-
+def _policy_tree(policy: Policy) -> list[str]:
     lines = ["tree:"]
 
-    def walk(key: bytes, state: EpistemicState, indent: int, path: frozenset) -> None:
+    def walk(key: bytes, indent: int, path: frozenset) -> None:
         pad = "  " * indent
         action = policy.entries.get(key)
         if action is None:
@@ -318,12 +320,11 @@ def _policy_tree(task: EpistemicTask, policy: Policy) -> list[str]:
             lines.append(f"{pad}[{_digest(key)}] (cycle)")
             return
         lines.append(f"{pad}[{_digest(key)}] {action}")
-        succ = bisim_contract(product_update(state, task.action_named(action)))
-        for child_key, child_state in _owner_classes(succ, policy.owner):
-            walk(child_key, child_state, indent + 1, path | {key})
+        for child_key in policy.children[key]:
+            walk(child_key, indent + 1, path | {key})
 
-    for key, state in _owner_classes(task.initial, policy.owner):
-        walk(key, state, 1, frozenset())
+    for key in policy.roots:
+        walk(key, 1, frozenset())
     return lines
 
 
@@ -352,11 +353,12 @@ def _solve_policy(args, task: EpistemicTask) -> int:
             print(f"  {violation}", file=sys.stderr)
         return 3
     lengths = ",".join(str(n) for n in report.execution_lengths)
+    rows = _policy_rows(policy)
     lines = [f"policy owner={policy.owner.name} entries={len(policy)}"]
-    for i, row in enumerate(_policy_rows(policy)):
+    for i, row in enumerate(rows):
         lines.append(f"{i}: digest={row['digest']} action={row['action']}")
         lines.append(f"   state: {row['state']}")
-    lines.extend(_policy_tree(task, policy))
+    lines.extend(_policy_tree(policy))
     lines.append(f"executions: count={len(report.executions)} lengths={{{lengths}}}")
     payload = {
         "eplan": JSON_VERSION,
@@ -365,7 +367,7 @@ def _solve_policy(args, task: EpistemicTask) -> int:
         "max_depth": args.max_depth,
         "found": True,
         "owner": policy.owner.name,
-        "entries": _policy_rows(policy),
+        "entries": rows,
         "executions": {
             "count": len(report.executions),
             "lengths": list(report.execution_lengths),
@@ -484,10 +486,7 @@ def cmd_dot(args) -> int:
     else:
         value = parsed.task.initial
     text = export_dot(value)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args, text, {"eplan": JSON_VERSION, "command": "dot", "dot": text})
     return 0
 
 

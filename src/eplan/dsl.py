@@ -12,13 +12,14 @@ document has been read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterator
 
 from .actions import EdgeGuard, EpistemicAction, Event
 from .classical import ActionSchema, SchemaAtom, SchemaLiterals, ground
 from .errors import ConsistencyError, Diagnostic, ModelError, TaskParseError, VocabularyError
 from .logic import (
     TOP,
+    Agent,
     And,
     Bottom,
     Common,
@@ -1034,31 +1035,54 @@ def serialize_task(task: EpistemicTask, initial_name: str = "s0") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _merge_symmetric(pairs: Iterable[tuple[int, int]]):
-    """Classify explicit directed pairs into symmetric and one-way lists."""
-    pairs = set(pairs)
-    symmetric = sorted((u, v) for (u, v) in pairs if u < v and (v, u) in pairs)
-    one_way = sorted((u, v) for (u, v) in pairs if (v, u) not in pairs)
-    return symmetric, one_way
+def _edges(
+    value: EpistemicState | EpistemicAction,
+) -> Iterator[tuple[Agent, int, int, bool, Formula]]:
+    """Every explicit agent edge of a state or action model, listed once as
+    (agent, u, v, two_way, guard). Per agent in vocabulary order: first the
+    pairs present both ways with equal guards (as u < v), then the remaining
+    directed pairs, each group sorted. State edges carry the top guard."""
+    if isinstance(value, EpistemicState):
+        vocab = value.model.vocab
+        guards = lambda agent: dict.fromkeys(value.model.edges[agent], TOP)  # noqa: E731
+    else:
+        vocab = value.vocab
+        guards = value.guards
+    for agent in vocab.agents:
+        table = guards(agent)
+        two_way, one_way = [], []
+        for (u, v), guard in table.items():
+            back = table.get((v, u))
+            # Identity first: every state edge shares the one TOP object.
+            if back is guard or (back is not None and back == guard):
+                if u < v:
+                    two_way.append((u, v, guard))
+            else:
+                one_way.append((u, v, guard))
+        # (u, v) is unique per agent, so sorting never compares guards.
+        for (u, v, guard) in sorted(two_way):
+            yield agent, u, v, True, guard
+        for (u, v, guard) in sorted(one_way):
+            yield agent, u, v, False, guard
+
+
+def _label(model: EpistemicModel, w: int, sep: str = ", ") -> str:
+    """The atoms true at a world, in vocabulary order."""
+    return sep.join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
 
 
 def _serialize_state(state: EpistemicState, name: str) -> list[str]:
     model = state.model
     lines = [f"state {name} {{"]
     for w in range(model.n):
-        atoms = ", ".join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
+        atoms = _label(model, w)
         body = f" {atoms} " if atoms else " "
         lines.append(f"  world {model.world_names[w]} {{{body}}}")
-    for agent in model.vocab.agents:
-        symmetric, one_way = _merge_symmetric(model.edges[agent])
-        for (u, v) in symmetric:
-            lines.append(
-                f"  edge {agent.name}: {model.world_names[u]} -- {model.world_names[v]};"
-            )
-        for (u, v) in one_way:
-            lines.append(
-                f"  edge {agent.name}: {model.world_names[u]} -> {model.world_names[v]};"
-            )
+    for agent, u, v, two_way, _ in _edges(state):
+        arrow = "--" if two_way else "->"
+        lines.append(
+            f"  edge {agent.name}: {model.world_names[u]} {arrow} {model.world_names[v]};"
+        )
     designated = ", ".join(model.world_names[w] for w in sorted(state.designated))
     lines.append(f"  designated {designated};")
     lines.append("}")
@@ -1072,39 +1096,18 @@ def _serialize_action(action: EpistemicAction) -> list[str]:
         lines.append(f"    pre: {render_formula(event.pre)};")
         lines.append(f"    post: {render_post(event.post)};")
         lines.append("  }")
-    by_agent: dict = {}
-    for g in action.edges:
-        by_agent.setdefault(g.agent, []).append(g)
-    for agent in action.vocab.agents:
-        guards = by_agent.get(agent, [])
-        table = {(g.source, g.target): g.condition for g in guards}
-        symmetric, one_way = _merge_symmetric(table.keys())
-        merged_symmetric = []
-        for (u, v) in symmetric:
-            if table[(u, v)] == table[(v, u)]:
-                merged_symmetric.append((u, v))
-            else:
-                one_way.extend([(u, v), (v, u)])
-        one_way.sort()
-        for (u, v) in merged_symmetric:
-            lines.append(_edge_line(action, agent, u, v, "--", table[(u, v)]))
-        for (u, v) in one_way:
-            lines.append(_edge_line(action, agent, u, v, "->", table[(u, v)]))
+    for agent, u, v, two_way, guard in _edges(action):
+        arrow = "--" if two_way else "->"
+        line = f"  edge {agent.name}: {action.events[u].name} {arrow} {action.events[v].name}"
+        if not isinstance(guard, Top):
+            line += f" if {render_formula(guard)}"
+        lines.append(line + ";")
     designated = ", ".join(
         action.events[e].name for e in sorted(action.designated)
     )
     lines.append(f"  designated {designated};")
     lines.append("}")
     return lines
-
-
-def _edge_line(action, agent, u, v, arrow, guard) -> str:
-    src = action.events[u].name
-    tgt = action.events[v].name
-    line = f"  edge {agent.name}: {src} {arrow} {tgt}"
-    if not isinstance(guard, Top):
-        line += f" if {render_formula(guard)}"
-    return line + ";"
 
 
 # --------------------------------------------------------------------------
@@ -1117,18 +1120,10 @@ def render_state(state: EpistemicState) -> str:
     lines = []
     for w in range(model.n):
         mark = " [designated]" if w in state.designated else ""
-        atoms = ", ".join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
-        lines.append(f"world {model.world_names[w]}{mark}: {atoms}")
-    for agent in model.vocab.agents:
-        symmetric, one_way = _merge_symmetric(model.edges[agent])
-        for (u, v) in symmetric:
-            lines.append(
-                f"edge {agent.name}: {model.world_names[u]} -- {model.world_names[v]}"
-            )
-        for (u, v) in one_way:
-            lines.append(
-                f"edge {agent.name}: {model.world_names[u]} -> {model.world_names[v]}"
-            )
+        lines.append(f"world {model.world_names[w]}{mark}: {_label(model, w)}")
+    for agent, u, v, two_way, _ in _edges(state):
+        arrow = "--" if two_way else "->"
+        lines.append(f"edge {agent.name}: {model.world_names[u]} {arrow} {model.world_names[v]}")
     return "\n".join(lines)
 
 
@@ -1138,15 +1133,11 @@ def render_state_line(state: EpistemicState) -> str:
     parts = []
     for w in range(model.n):
         mark = "*" if w in state.designated else ""
-        atoms = ",".join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
-        parts.append(f"{model.world_names[w]}{mark}[{atoms}]")
-    edge_bits = []
-    for agent in model.vocab.agents:
-        symmetric, one_way = _merge_symmetric(model.edges[agent])
-        for (u, v) in symmetric:
-            edge_bits.append(f"{agent.name}:{model.world_names[u]}--{model.world_names[v]}")
-        for (u, v) in one_way:
-            edge_bits.append(f"{agent.name}:{model.world_names[u]}->{model.world_names[v]}")
+        parts.append(f"{model.world_names[w]}{mark}[{_label(model, w, ',')}]")
+    edge_bits = [
+        f"{agent.name}:{model.world_names[u]}{'--' if two_way else '->'}{model.world_names[v]}"
+        for agent, u, v, two_way, _ in _edges(state)
+    ]
     text = " ".join(parts)
     if edge_bits:
         text += " | " + " ".join(edge_bits)
@@ -1176,16 +1167,11 @@ def _dot_state(state: EpistemicState) -> str:
     model = state.model
     lines = ["digraph state {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     for w in range(model.n):
-        atoms = ", ".join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
+        atoms = _label(model, w)
         label = model.world_names[w] + ("\\n" + _dot_escape(atoms) if atoms else "")
         extra = ", peripheries=2" if w in state.designated else ""
         lines.append(f'  n{w} [label="{label}"{extra}];')
-    for agent in model.vocab.agents:
-        symmetric, one_way = _merge_symmetric(model.edges[agent])
-        for (u, v) in symmetric:
-            lines.append(f'  n{u} -> n{v} [label="{_dot_escape(agent.name)}", dir=none];')
-        for (u, v) in one_way:
-            lines.append(f'  n{u} -> n{v} [label="{_dot_escape(agent.name)}"];')
+    lines.extend(_dot_edges(state))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -1197,28 +1183,13 @@ def _dot_action(action: EpistemicAction) -> str:
         caption = _dot_escape(event.name) + "\\n" + _dot_escape(pair)
         extra = ", peripheries=2" if i in action.designated else ""
         lines.append(f'  n{i} [label="{caption}"{extra}];')
-    by_agent: dict = {}
-    for g in action.edges:
-        by_agent.setdefault(g.agent, {})[(g.source, g.target)] = g.condition
-    for agent in action.vocab.agents:
-        table = by_agent.get(agent, {})
-        symmetric, one_way = _merge_symmetric(table.keys())
-        merged = []
-        for (u, v) in symmetric:
-            if table[(u, v)] == table[(v, u)]:
-                merged.append((u, v))
-            else:
-                one_way.extend([(u, v), (v, u)])
-        one_way.sort()
-        for (u, v) in merged:
-            lines.append(f'  n{u} -> n{v} [label="{_dot_label(agent, table[(u, v)])}", dir=none];')
-        for (u, v) in one_way:
-            lines.append(f'  n{u} -> n{v} [label="{_dot_label(agent, table[(u, v)])}"];')
+    lines.extend(_dot_edges(action))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_label(agent, guard) -> str:
-    if isinstance(guard, Top):
-        return _dot_escape(agent.name)
-    return _dot_escape(f"{agent.name}: {render_formula(guard)}")
+def _dot_edges(value: EpistemicState | EpistemicAction) -> Iterator[str]:
+    for agent, u, v, two_way, guard in _edges(value):
+        label = agent.name if isinstance(guard, Top) else f"{agent.name}: {render_formula(guard)}"
+        extra = ", dir=none" if two_way else ""
+        yield f'  n{u} -> n{v} [label="{_dot_escape(label)}"{extra}];'

@@ -352,9 +352,6 @@ class LiteralConjunction:
         for a in sorted(self.negatives, key=lambda a: a.index):
             yield a, False
 
-    def render(self) -> str:
-        return render_formula(self.to_formula())
-
 
 EMPTY_CONJUNCTION = LiteralConjunction()
 

@@ -166,12 +166,6 @@ class EpistemicState:
     def is_global(self) -> bool:
         return len(self.designated) == 1
 
-    @property
-    def actual_world(self) -> int:
-        if not self.is_global:
-            raise ModelError("not a global state")
-        return next(iter(self.designated))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpistemicState):
             return NotImplemented

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .actions import EpistemicAction, applicable, local_action, product_update
+from .classical import breadth_first
 from .errors import ModelError, VocabularyMismatchError
 from .logic import Agent, Formula, Vocabulary, eval_state, validate_over
 from .models import (
@@ -135,31 +136,20 @@ def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | No
     Breadth-first over product updates, contracting at every expansion and
     deduplicating by canonical key, so bisimilar states are explored once.
     """
-    if depth_cap < 0:
-        raise ModelError("depth cap must be non-negative")
-    start = bisim_contract(task.initial)
-    if eval_state(start, task.goal):
-        return SequentialPlan(())
-    visited = {canonical_key(start)}
-    frontier: list[tuple[EpistemicState, tuple[str, ...]]] = [(start, ())]
-    depth = 0
-    while frontier and depth < depth_cap:
-        depth += 1
-        next_frontier: list[tuple[EpistemicState, tuple[str, ...]]] = []
-        for state, path in frontier:
-            for action in task.actions:
-                if not applicable(state, action):
-                    continue
-                succ = bisim_contract(product_update(state, action))
-                key = canonical_key(succ)
-                if key in visited:
-                    continue
-                if eval_state(succ, task.goal):
-                    return SequentialPlan(path + (action.name,))
-                visited.add(key)
-                next_frontier.append((succ, path + (action.name,)))
-        frontier = next_frontier
-    return None
+
+    def expand(state: EpistemicState):
+        for action in task.actions:
+            if applicable(state, action):
+                yield action.name, bisim_contract(product_update(state, action))
+
+    steps = breadth_first(
+        bisim_contract(task.initial),
+        canonical_key,
+        expand,
+        lambda state: eval_state(state, task.goal),
+        depth_cap,
+    )
+    return None if steps is None else SequentialPlan(steps)
 
 
 @dataclass
@@ -212,20 +202,26 @@ class Policy:
     global state, which enforces the uniformity condition by construction:
     two global states the owner cannot tell apart share a key, hence an
     action. ``states`` keeps a representative node state per key for
-    rendering; file-loaded policies may omit it.
+    rendering. ``roots`` (the initial classes' keys) and ``children`` (per
+    entry, the class keys its action leads to) are the chosen policy graph
+    as the solver built it. File-loaded policies leave all three empty.
     """
 
-    __slots__ = ("owner", "entries", "states")
+    __slots__ = ("owner", "entries", "states", "roots", "children")
 
     def __init__(
         self,
         owner: Agent,
         entries: dict[bytes, str] | None = None,
         states: dict[bytes, EpistemicState] | None = None,
+        roots: Sequence[bytes] = (),
+        children: dict[bytes, tuple[bytes, ...]] | None = None,
     ):
         self.owner = owner
         self.entries = dict(entries or {})
         self.states = dict(states or {})
+        self.roots = tuple(roots)
+        self.children = dict(children or {})
 
     @classmethod
     def from_assignments(
@@ -374,9 +370,11 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
                     break
 
     # Collect only the nodes the chosen actions can actually reach.
+    root_keys = tuple(key for key, _ in roots)
     entries: dict[bytes, str] = {}
     states: dict[bytes, EpistemicState] = {}
-    walk: deque[bytes] = deque(key for key, _ in roots)
+    chosen_children: dict[bytes, tuple[bytes, ...]] = {}
+    walk: deque[bytes] = deque(root_keys)
     seen: set[bytes] = set(walk)
     while walk:
         key = walk.popleft()
@@ -387,12 +385,13 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         states[key] = node.state
         for _, name, children in node.edges:
             if name == chosen[key]:
+                chosen_children[key] = children
                 for child in children:
                     if child not in seen:
                         seen.add(child)
                         walk.append(child)
                 break
-    return Policy(owner, entries, states)
+    return Policy(owner, entries, states, root_keys, chosen_children)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TASKS_DIR
+from conftest import GOLDEN_DIR, TASKS_DIR
 from eplan import Policy, parse_task, product_update
 from eplan.cli import main
 from eplan.dsl import export_dot
@@ -117,6 +117,18 @@ class TestSolvePolicy:
         assert "lengths={4,6}" in out
         assert "tree:" in out
 
+    @pytest.mark.parametrize(
+        "task, depth, golden",
+        [
+            (PO2, "8", "two_post_offices_policy.txt"),
+            (WRAP, "5", "wrap_copresence_policy.txt"),
+        ],
+    )
+    def test_text_output_golden(self, capsys, task, depth, golden):
+        code, out, _ = run(capsys, "solve", task, "--mode", "policy", "--max-depth", depth)
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
     def test_policy_round_trip_through_file(self, capsys, tmp_path):
         policy_file = tmp_path / "policy.json"
         code, _, _ = run(
@@ -223,6 +235,18 @@ class TestDot:
         code, out, _ = run(capsys, "dot", PRIVATE, "--action", "AskWhetherPO1")
         assert code == 0 and out.startswith("digraph action")
 
+    def test_json_carries_the_dot_text(self, capsys):
+        doc = parse_task(Path(PRIVATE).read_bytes())
+        code, out, _ = run(
+            capsys, "dot", PRIVATE, "--action", "AskWhetherPO1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "eplan": 1,
+            "command": "dot",
+            "dot": export_dot(doc.task.action_named("AskWhetherPO1")),
+        }
+
     def test_unknown_state_exits_two(self, capsys):
         code, _, err = run(capsys, "dot", PO2, "--state", "nope")
         assert code == 2
@@ -251,3 +275,14 @@ class TestErrors:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.eplan", "top")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["!" * 2000 + "top", "(" * 2000 + "top" + ")" * 2000, " & ".join(["top"] * 3000)],
+        ids=["negations", "parentheses", "conjunction-chain"],
+    )
+    def test_too_deep_formula_exits_two(self, capsys, formula):
+        code, _, err = run(capsys, "check", PO2, formula)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

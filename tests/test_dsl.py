@@ -30,6 +30,35 @@ goal { p }
 task { initial: s0; actions: skip; }
 """
 
+# One action with every edge shape the listing distinguishes: a two-way
+# pair with equal guards, a one-way guarded edge, and a pair drawn both
+# ways with different guards (listed as two one-way edges). The state has
+# one two-way and one one-way edge.
+MIXED_EDGES = """
+agents { A, B }
+atoms { p, q }
+action mix {
+  event e1 { pre: p; post: top; }
+  event e2 { pre: !p; post: q; }
+  event e3 { pre: top; post: !q; }
+  edge A: e1 -- e2;
+  edge A: e2 -> e3 if q;
+  edge B: e1 -> e3 if p;
+  edge B: e3 -> e1 if !p;
+  designated e1, e2;
+}
+state s0 {
+  world w1 { p }
+  world w2 { q }
+  world w3 { }
+  edge A: w1 -- w2;
+  edge B: w3 -> w1;
+  designated w1;
+}
+goal { q }
+task { initial: s0; actions: mix; }
+"""
+
 
 class TestParse:
     def test_two_post_offices_document(self, po2):
@@ -158,6 +187,10 @@ class TestRoundTrip:
         text = serialize_task(parse_task(MINIMAL).task)
         assert text == (GOLDEN_DIR / "minimal.eplan").read_text()
 
+    def test_mixed_edges_document_golden(self):
+        text = serialize_task(parse_task(MIXED_EDGES).task)
+        assert text == (GOLDEN_DIR / "mixed_edges.eplan").read_text()
+
     def test_guards_survive_round_trip(self, wrap_copresence):
         wrap = wrap_copresence.action_named("Wrap(Father,Present,PostOffice)")
         text = serialize_task(wrap_copresence)
@@ -180,14 +213,16 @@ class TestDot:
             ("s0_father.dot", "state", "two_post_offices"),
             ("one_world.dot", "state", "birthday_single"),
             ("private_ask.dot", "action", "ask_private"),
+            ("mixed_edges_state.dot", "state", "mixed_edges"),
+            ("mixed_edges_action.dot", "action", "mixed_edges"),
         ],
     )
     def test_golden_files(self, golden, kind, name):
-        doc = load_doc(name)
+        doc = parse_task(MIXED_EDGES) if name == "mixed_edges" else load_doc(name)
         if kind == "state":
             text = export_dot(doc.task.initial)
         else:
-            text = export_dot(doc.task.action_named("AskWhetherPO1"))
+            text = export_dot(doc.task.actions[0])
         assert text == (GOLDEN_DIR / golden).read_text()
 
     def test_designated_worlds_double_circled(self, po2):
