@@ -29,7 +29,7 @@ from .logic import (
     Not,
     Top,
     Vocabulary,
-    eval_world,
+    _eval,
     validate_over,
 )
 from .models import EpistemicModel, EpistemicState
@@ -219,17 +219,20 @@ def _check_shared_vocab(state: EpistemicState, action: EpistemicAction) -> None:
 def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
     """For every designated world there is a designated event whose
     precondition holds there."""
-    _check_shared_vocab(state, action)
     return inapplicable_witness(state, action) is None
 
 
 def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:
-    """A designated world with no applicable designated event, or None."""
+    """A designated world with no applicable designated event, or None.
+
+    Preconditions are evaluated unchecked: the action validated them over
+    its vocabulary when it was built, and the state must share it."""
+    _check_shared_vocab(state, action)
     model = state.model
     designated_events = sorted(action.designated)
     for w in sorted(state.designated):
         if not any(
-            eval_world(model, w, action.events[e].pre) for e in designated_events
+            _eval(model, w, action.events[e].pre) for e in designated_events
         ):
             return w
     return None
@@ -241,8 +244,9 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
     An agent edge links (w,e) to (w',e') when w relates to w' and there is
     an agent edge e -> e' whose guard holds at the source world w in the
     pre-update model; postconditions delete negatives then add positives.
+    Preconditions and guards are evaluated unchecked, as in
+    :func:`inapplicable_witness`, which also checks the shared vocabulary.
     """
-    _check_shared_vocab(state, action)
     witness = inapplicable_witness(state, action)
     if witness is not None:
         raise NotApplicableError(
@@ -258,7 +262,7 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
     index: dict[tuple[int, int], int] = {}
     for w in range(model.n):
         for e, event in enumerate(action.events):
-            if eval_world(model, w, event.pre):
+            if _eval(model, w, event.pre):
                 index[(w, e)] = len(pairs)
                 pairs.append((w, e))
     if not pairs:
@@ -279,7 +283,7 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
             world_succ = model.successors(agent, w)
             event_succ: list[int] = [e]
             for (src, tgt), guard in guard_table.items():
-                if src == e and eval_world(model, w, guard):
+                if src == e and _eval(model, w, guard):
                     event_succ.append(tgt)
             for wp in world_succ:
                 for ep in event_succ:

@@ -21,12 +21,16 @@ Edge = tuple[int, int]
 class EpistemicModel:
     """A finite multi-agent Kripke model with a valuation per world.
 
-    Immutable after construction; successor lists and union-reachability
-    are cached lazily, which keeps repeated evaluation cheap and is safe to
-    share across concurrent readers.
+    Immutable after construction. Each agent's successor table is built in
+    one pass over its edges on the agent's first query, and
+    union-reachability is cached per world; both caches only ever gain
+    entries that are functions of the model, so sharing is safe. A model
+    built by :func:`bisim_contract` is marked minimal (no two of its worlds
+    are bisimilar), so contracting a state over it again is a restriction
+    to the designated-reachable worlds, with no refinement.
     """
 
-    __slots__ = ("vocab", "world_names", "labels", "edges", "_succ", "_reach")
+    __slots__ = ("vocab", "world_names", "labels", "edges", "_succ", "_reach", "_minimal")
 
     def __init__(
         self,
@@ -67,6 +71,7 @@ class EpistemicModel:
         object.__setattr__(self, "edges", edge_map)
         object.__setattr__(self, "_succ", {})
         object.__setattr__(self, "_reach", {})
+        object.__setattr__(self, "_minimal", False)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("EpistemicModel is immutable")
@@ -83,16 +88,14 @@ class EpistemicModel:
 
     def successors(self, agent: Agent, w: int) -> tuple[int, ...]:
         """Sorted i-successors of ``w``, including ``w`` itself."""
-        key = (agent.index, w)
-        cached = self._succ.get(key)
-        if cached is None:
-            out = {w}
+        table = self._succ.get(agent.index)
+        if table is None:
+            out = [[u] for u in range(self.n)]
             for (u, v) in self.edges[agent]:
-                if u == w:
-                    out.add(v)
-            cached = tuple(sorted(out))
-            self._succ[key] = cached
-        return cached
+                out[u].append(v)
+            table = tuple(tuple(sorted(vs)) for vs in out)
+            self._succ[agent.index] = table
+        return table[w]
 
     def union_reach(self, w: int) -> frozenset[int]:
         """Worlds reachable from ``w`` under the union of all relations."""
@@ -324,23 +327,34 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     The result is bisimilar to ``state``, has no two bisimilar worlds, and
     its designated set is the image of the input's designated set. Worlds
     unreachable from the designated set are dropped here (and only here).
+    The result's model is marked minimal. Over a minimal model the
+    designated-reachable part is a generated submodel, which keeps
+    bisimilarity, so its worlds are already the quotient's blocks: the
+    state itself is returned when every world is reachable, and otherwise
+    the reachable worlds are kept in index order, exactly as refinement
+    would give them.
     """
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
-    in_reach = set(reach)
+    if model._minimal:
+        if len(reach) == model.n:
+            return state
+        ordered_blocks = [[w] for w in reach]
+    else:
+        in_reach = set(reach)
 
-    def succ(agent: Agent, w: int):
-        return [v for v in model.successors(agent, w) if v in in_reach]
+        def succ(agent: Agent, w: int):
+            return [v for v in model.successors(agent, w) if v in in_reach]
 
-    block = _refine(
-        reach, model.labels, succ, model.vocab.agents, _label_blocks(reach, model.labels)
-    )
+        block = _refine(
+            reach, model.labels, succ, model.vocab.agents, _label_blocks(reach, model.labels)
+        )
 
-    # One quotient world per block, ordered by smallest member index.
-    members: dict[int, list[int]] = {}
-    for w in reach:
-        members.setdefault(block[w], []).append(w)
-    ordered_blocks = sorted(members.values(), key=lambda ws: min(ws))
+        # One quotient world per block, ordered by smallest member index.
+        members: dict[int, list[int]] = {}
+        for w in reach:
+            members.setdefault(block[w], []).append(w)
+        ordered_blocks = sorted(members.values(), key=lambda ws: min(ws))
     block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
 
     names = [model.world_names[min(ws)] for ws in ordered_blocks]
@@ -352,6 +366,7 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
                 edges[agent].add((block_of[u], block_of[v]))
     designated = {block_of[w] for w in state.designated}
     contracted = EpistemicModel(model.vocab, names, labels, edges)
+    object.__setattr__(contracted, "_minimal", True)
     return EpistemicState(contracted, designated)
 
 

@@ -262,10 +262,17 @@ def _owner_classes(
     """Partition the globals of ``state`` into the owner's run-time
     observation classes: globals sharing a bisimilar owner-local view.
 
-    Returns (key, contracted local state) per class, sorted by key."""
+    Returns (key, contracted local state) per class, sorted by key. Globals
+    with one owner closure share one view, so each closure is contracted
+    once."""
     classes: dict[bytes, EpistemicState] = {}
+    closures: set[frozenset[int]] = set()
     for g in globals_of(state):
-        view = bisim_contract(local_state(g, owner))
+        closure = local_state(g, owner)
+        if closure.designated in closures:
+            continue
+        closures.add(closure.designated)
+        view = bisim_contract(closure)
         key = canonical_key(view)
         if key not in classes:
             classes[key] = view

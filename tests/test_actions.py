@@ -19,6 +19,7 @@ from eplan import (
     Prop,
     TOP,
     Vocabulary,
+    VocabularyMismatchError,
     applicable,
     bisim_contract,
     bisimilar,
@@ -31,6 +32,7 @@ from eplan import (
     product_update,
     skip_action,
 )
+from eplan.actions import inapplicable_witness
 
 
 @pytest.fixture
@@ -59,6 +61,23 @@ class TestApplicable:
         with pytest.raises(NotApplicableError) as exc:
             product_update(po2.initial, wrap)
         assert exc.value.witness in po2.initial.designated
+
+    @pytest.mark.parametrize("pre", ["p", "q"])
+    @pytest.mark.parametrize(
+        "check", [inapplicable_witness, applicable, product_update],
+        ids=lambda f: f.__name__,
+    )
+    def test_mismatched_vocabularies_rejected(self, check, pre):
+        # Preconditions are evaluated unchecked, so the shared-vocabulary
+        # check is all that stops a foreign state, whether or not the
+        # precondition names an atom the state lacks.
+        state = EpistemicState(_model(Vocabulary(["p"], ["a"]), [set()]), {0})
+        vocab = Vocabulary(["p", "q"], ["a"])
+        action = EpistemicAction(
+            "A", vocab, [Event("e", Prop(vocab.atom(pre)), LiteralConjunction())], {0}
+        )
+        with pytest.raises(VocabularyMismatchError):
+            check(state, action)
 
 
 class TestProductUpdate:

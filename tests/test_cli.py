@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and the JSON output schema."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -67,6 +68,32 @@ class TestApply:
     def test_unknown_action_exits_two(self, capsys):
         code, _, err = run(capsys, "apply", PO2, "--actions", "Fly(Father)")
         assert code == 2 and "unknown action" in err
+
+    @pytest.mark.parametrize(
+        "tail, length, digest",
+        [
+            (
+                ["--check", "C (K[Employee] At(Present,PostOffice1)"
+                 " | K[Employee] !At(Present,PostOffice1))"],
+                1_695_135,
+                "76fa2c4399ce87aa71884cdb057bae471f94da320d90ce602924127d5174bc25",
+            ),
+            (
+                ["--contract"],
+                831,
+                "3da01e68938fb9db81ad49079d91f73f84a2f3e66a2387110f99bb1b6a84a73c",
+            ),
+        ],
+        ids=["common-knowledge-check", "contract"],
+    )
+    def test_eight_private_asks_pinned(self, capsys, tail, length, digest):
+        # Eight private asks build a 256-world model: product update, C
+        # evaluation, contraction and rendering on a large model.
+        code, out, _ = run(capsys, "apply", PRIVATE, "--actions", *["AskWhetherPO1"] * 8, *tail)
+        data = out.encode("utf-8")
+        assert code == 0
+        assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_contract_flag(self, capsys):
         code, out, _ = run(capsys, "apply", PO2, "--contract", "--format", "json")

@@ -1,5 +1,6 @@
 """States, perspective shifts, belief-state embedding, and bisimulation."""
 
+import itertools
 import random
 
 import pytest
@@ -232,6 +233,40 @@ class TestBisimContract:
             state = gen_state(rng, vocab)
             phi = gen_formula(rng, vocab, 4)
             assert eval_state(state, phi) == eval_state(bisim_contract(state), phi)
+
+    def test_minimal_fast_path_matches_refinement(self):
+        # A contracted model is marked minimal, and contracting over it
+        # again restricts instead of refining. An unmarked rebuild of the
+        # same model takes the refinement path; both must agree on the
+        # state (model equality covers names, labels and edges), and so
+        # on the key, for every designated subset tried.
+        rng = random.Random(53)
+        for _ in range(500):
+            vocab = gen_vocab(rng)
+            state = gen_state(rng, vocab)
+            c = bisim_contract(state)
+            again = bisim_contract(c)
+            assert again == c and again.model.world_names == c.model.world_names
+            m = c.model
+            rebuilt = EpistemicModel(vocab, m.world_names, m.labels, m.edges)
+            subsets = [
+                set(d)
+                for k in range(1, m.n + 1)
+                for d in itertools.combinations(range(m.n), k)
+            ]
+            for d in rng.sample(subsets, min(8, len(subsets))):
+                fast = bisim_contract(EpistemicState(m, d))
+                slow = bisim_contract(EpistemicState(rebuilt, d))
+                assert fast == slow
+                assert fast.model.world_names == slow.model.world_names
+                assert canonical_key(EpistemicState(m, d)) == canonical_key(
+                    EpistemicState(rebuilt, d)
+                )
+            for model in (state.model, m):
+                for agent in vocab.agents:
+                    for w in range(model.n):
+                        scan = {w} | {v for (u, v) in model.edges[agent] if u == w}
+                        assert model.successors(agent, w) == tuple(sorted(scan))
 
     def test_unreachable_worlds_dropped(self):
         vocab = Vocabulary(["p"], ["a"])
