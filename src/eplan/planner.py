@@ -284,9 +284,8 @@ class _Node:
     state: EpistemicState
     depth: int
     goal: bool
-    # One entry per applicable action: (order, action name, child keys).
-    edges: list[tuple[int, str, tuple[bytes, ...]]] = field(default_factory=list)
-    expanded: bool = False
+    # One entry per applicable action, in declaration order: (name, child keys).
+    edges: list[tuple[str, tuple[bytes, ...]]] = field(default_factory=list)
 
 
 def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
@@ -295,11 +294,12 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
     OR-choice: an action applicable in the owner's local state. AND-branch:
     the owner-local classes of the updated state's globals (what the owner
     may observe at run time). The reachable node graph is explored to the
-    depth cap, then heights are computed by min-max backward induction:
-    goal nodes have height 0, an action's cost is one plus its worst child,
-    and each node takes the best action (first declared wins ties). A
-    policy exists iff every initial class gets a finite height within the
-    cap; following strictly decreasing heights makes the result acyclic.
+    depth cap, then labelled solved in height order (min-max backward
+    induction): goal nodes are solved at height 0, and an unsolved node is
+    solved at h + 1 by the first declared of its edges whose last unsolved
+    child was solved at h. A policy exists iff every initial class is
+    solved within the cap; following strictly decreasing heights makes the
+    result acyclic.
     """
     if task.owner is None:
         raise ModelError("policy synthesis needs a task with an owner")
@@ -307,30 +307,16 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         raise ModelError("depth cap must be non-negative")
     owner = task.owner
 
-    nodes: dict[bytes, _Node] = {}
-    order: list[bytes] = []
-
-    def intern(key: bytes, state: EpistemicState, depth: int) -> _Node:
-        node = nodes.get(key)
-        if node is None:
-            node = _Node(state, depth, eval_state(state, task.goal))
-            nodes[key] = node
-            order.append(key)
-        return node
-
+    # Roots are distinct and a child is queued only when new, so each node
+    # is expanded at most once.
     roots = _owner_classes(task.initial, owner)
-    queue: deque[bytes] = deque()
-    for key, state in roots:
-        intern(key, state, 0)
-        queue.append(key)
-
+    nodes = {key: _Node(state, 0, eval_state(state, task.goal)) for key, state in roots}
+    queue: deque[bytes] = deque(nodes)
     while queue:
-        key = queue.popleft()
-        node = nodes[key]
-        if node.expanded or node.goal or node.depth >= depth_cap:
+        node = nodes[queue.popleft()]
+        if node.goal or node.depth >= depth_cap:
             continue
-        node.expanded = True
-        for rank, action in enumerate(task.actions):
+        for action in task.actions:
             if not applicable(node.state, action):
                 continue
             succ = bisim_contract(product_update(node.state, action))
@@ -338,46 +324,37 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
             for child_key, child_state in _owner_classes(succ, owner):
                 child_keys.append(child_key)
                 if child_key not in nodes:
-                    intern(child_key, child_state, node.depth + 1)
+                    goal = eval_state(child_state, task.goal)
+                    nodes[child_key] = _Node(child_state, node.depth + 1, goal)
                     queue.append(child_key)
-            node.edges.append((rank, action.name, tuple(child_keys)))
+            node.edges.append((action.name, tuple(child_keys)))
 
-    heights: dict[bytes, int] = {k: 0 for k in order if nodes[k].goal}
-    changed = True
-    while changed:
-        changed = False
-        for key in order:
-            node = nodes[key]
-            if node.goal:
-                continue
-            best: int | None = None
-            for _, _, children in node.edges:
-                if any(c not in heights for c in children):
-                    continue
-                h = 1 + max(heights[c] for c in children)
-                if best is None or h < best:
-                    best = h
-            if best is not None and (key not in heights or best < heights[key]):
-                heights[key] = best
-                changed = True
+    # Per edge, the number of its children not yet solved; per node, the
+    # edges (parent key, edge index) it is a child of.
+    pending: dict[bytes, list[int]] = {}
+    parents: dict[bytes, list[tuple[bytes, int]]] = {key: [] for key in nodes}
+    for key, node in nodes.items():
+        pending[key] = [len(children) for _, children in node.edges]
+        for index, (_, children) in enumerate(node.edges):
+            for child in children:
+                parents[child].append((key, index))
+    chosen: dict[bytes, int] = {}  # solved non-goal node -> chosen edge index
+    layer = [key for key, node in nodes.items() if node.goal]
+    for _ in range(depth_cap):
+        ready: dict[bytes, int] = {}
+        for child in layer:
+            for key, index in parents[child]:
+                pending[key][index] -= 1
+                if pending[key][index] == 0 and key not in chosen:
+                    ready[key] = min(index, ready.get(key, index))
+        chosen.update(ready)
+        layer = list(ready)
 
-    if any(key not in heights or heights[key] > depth_cap for key, _ in roots):
+    root_keys = tuple(key for key, _ in roots)
+    if any(key not in chosen and not nodes[key].goal for key in root_keys):
         return None
 
-    # Pick, per node, the first declared action achieving the minimal height.
-    chosen: dict[bytes, str] = {}
-    for key in order:
-        node = nodes[key]
-        if node.goal or key not in heights:
-            continue
-        for _, name, children in node.edges:
-            if all(c in heights for c in children):
-                if 1 + max(heights[c] for c in children) == heights[key]:
-                    chosen[key] = name
-                    break
-
-    # Collect only the nodes the chosen actions can actually reach.
-    root_keys = tuple(key for key, _ in roots)
+    # Collect only the nodes the chosen edges can actually reach.
     entries: dict[bytes, str] = {}
     states: dict[bytes, EpistemicState] = {}
     chosen_children: dict[bytes, tuple[bytes, ...]] = {}
@@ -388,16 +365,12 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         node = nodes[key]
         if node.goal:
             continue
-        entries[key] = chosen[key]
+        entries[key], chosen_children[key] = node.edges[chosen[key]]
         states[key] = node.state
-        for _, name, children in node.edges:
-            if name == chosen[key]:
-                chosen_children[key] = children
-                for child in children:
-                    if child not in seen:
-                        seen.add(child)
-                        walk.append(child)
-                break
+        for child in chosen_children[key]:
+            if child not in seen:
+                seen.add(child)
+                walk.append(child)
     return Policy(owner, entries, states, root_keys, chosen_children)
 
 
@@ -420,6 +393,18 @@ class Execution:
 
     def __repr__(self) -> str:
         return f"Execution({self.length} steps, {self.outcome})"
+
+
+def _step(
+    task: EpistemicTask, state: EpistemicState, name: str
+) -> list[EpistemicState] | None:
+    """One policy step: the contracted successor globals of taking the
+    action ``name`` in ``state``, or None when it is not applicable.
+    Unknown action names raise."""
+    action = task.action_named(name)
+    if not applicable(state, action):
+        return None
+    return [bisim_contract(g) for g in globals_of(product_update(state, action))]
 
 
 def execute(
@@ -453,12 +438,11 @@ def execute(
             )
         if len(actions) >= max_steps:
             return Execution(tuple(states), tuple(actions), "cutoff", "step bound")
-        action = task.action_named(name)
-        if not applicable(current, action):
+        options = _step(task, current, name)
+        if options is None:
             return Execution(
                 tuple(states), tuple(actions), "failure", f"{name} not applicable"
             )
-        options = [bisim_contract(g) for g in globals_of(product_update(current, action))]
         pick = chooser(options)
         actions.append(name)
         states.append(options[pick])
@@ -495,8 +479,8 @@ def enumerate_executions(
                 Execution(tuple(trace_states), tuple(trace_actions), "cutoff", "step bound")
             )
             return
-        action = task.action_named(name)
-        if not applicable(state, action):
+        successors = _step(task, state, name)
+        if successors is None:
             out.append(
                 Execution(
                     tuple(trace_states),
@@ -506,8 +490,7 @@ def enumerate_executions(
                 )
             )
             return
-        for succ in globals_of(product_update(state, action)):
-            succ = bisim_contract(succ)
+        for succ in successors:
             walk(
                 succ,
                 trace_states + [succ],
@@ -565,7 +548,8 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
     (c) the initial state's globals are covered (or already satisfy the
     goal); (d) every execution, enumerated exhaustively, succeeds, and the
     reachable policy graph is acyclic. The policy only needs ``owner`` and
-    ``action_for``; violations carry a witness trace."""
+    ``action_for``; violations carry a witness trace. Unknown action names
+    raise."""
     owner = policy.owner
     violations: list[Violation] = []
     executions: list[Execution] = []
@@ -592,12 +576,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
         if key in checked:
             return name
         checked.add(key)
-        try:
-            action = task.action_named(name)
-        except ModelError:
-            violations.append(Violation("inapplicable", f"unknown action {name}", trace))
-            return None
-        if not applicable(view, action):
+        if not applicable(view, task.action_named(name)):
             violations.append(
                 Violation(
                     "inapplicable",
@@ -608,8 +587,8 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
             return None
         return name
 
-    for g in globals_of(task.initial):
-        g = bisim_contract(g)
+    initial = [bisim_contract(g) for g in globals_of(task.initial)]
+    for g in initial:
         if policy.action_for(g) is None and not eval_state(g, task.goal):
             violations.append(
                 Violation(
@@ -619,9 +598,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
             )
 
     # Walk the reachable policy graph, checking (a)/(b) at each state.
-    frontier: deque[tuple[EpistemicState, tuple[str, ...]]] = deque(
-        (bisim_contract(g), ()) for g in globals_of(task.initial)
-    )
+    frontier: deque[tuple[EpistemicState, tuple[str, ...]]] = deque((g, ()) for g in initial)
     walked: set[bytes] = set()
     while frontier:
         state, trace = frontier.popleft()
@@ -632,13 +609,10 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
         name = check_state(state, trace)
         if name is None:
             continue
-        action = task.action_named(name)
-        if not applicable(state, action):
-            continue
-        for succ in globals_of(product_update(state, action)):
-            frontier.append((bisim_contract(succ), trace + (name,)))
+        for succ in _step(task, state, name) or ():
+            frontier.append((succ, trace + (name,)))
 
-    for g in globals_of(task.initial):
+    for g in initial:
         for execution in enumerate_executions(task, policy, g):
             executions.append(execution)
             if execution.outcome == "cutoff":

@@ -251,6 +251,23 @@ class TestValidate:
         code, _, err = run(capsys, "validate", PO2, "--policy", str(bad))
         assert code == 2 and "not a policy file" in err
 
+    @pytest.mark.parametrize("command", ["validate", "execute"])
+    def test_unknown_action_in_policy_file_exits_two(self, capsys, tmp_path, command):
+        policy_file = tmp_path / "policy.json"
+        code, _, _ = run(
+            capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8",
+            "--format", "json", "--output", str(policy_file),
+        )
+        assert code == 0
+        payload = json.loads(policy_file.read_text())
+        payload["entries"][0]["action"] = "Bogus"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, PO2, "--policy", str(bad))
+        assert code == 2
+        assert err.splitlines() == ["error: unknown action name: Bogus"]
+        assert "Traceback" not in out + err
+
 
 class TestDot:
     def test_initial_state_dot(self, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import TWO_OFFICE_PLAN, gen_task
+from conftest import TASK_FILES, TWO_OFFICE_PLAN, gen_task, load_doc
 from eplan import (
     EpistemicState,
     EpistemicTask,
@@ -19,17 +19,20 @@ from eplan import (
     applicable,
     bisim_contract,
     bisimilar,
+    enumerate_executions,
     eval_state,
     execute,
     globals_of,
     induced_action,
     localize,
+    parse_task,
     product_update,
     solve_policy,
     solve_sequential,
     validate_plan,
     validate_policy,
 )
+from reference_policy import solve_policy as reference_solve_policy
 
 
 def global_task(po2, world):
@@ -202,7 +205,12 @@ class TestSolvePolicy:
             solve_policy(task, 4)
 
     def test_depth_cap(self, po2):
+        # The shortest strong policy needs 6 layers: one short of that
+        # gives nothing, and exactly 6 gives today's 7-entry policy.
         assert solve_policy(po2, 3) is None
+        assert solve_policy(po2, 5) is None
+        policy = solve_policy(po2, 6)
+        assert policy is not None and len(policy) == 7
 
     def test_plan_time_distinguishable_roots_get_own_actions(self, po2):
         # Start from the post-pickup state: both worlds designated but
@@ -221,6 +229,32 @@ class TestSolvePolicy:
             "Go(Father,PostOffice1,Home)",
             "Go(Father,PostOffice1,PostOffice2)",
         }
+
+
+class TestUnknownActionName:
+    """A policy naming an action the task lacks is a caller error: every
+    policy consumer raises, as ``validate_plan`` does for plans."""
+
+    @pytest.fixture
+    def bogus(self, po2):
+        policy = solve_policy(po2, 8)
+        root = policy.roots[0]
+        entries = {k: ("Bogus" if k == root else v) for k, v in policy.entries.items()}
+        return Policy(policy.owner, entries)
+
+    def test_validate_policy_raises(self, po2, bogus):
+        with pytest.raises(ModelError, match="unknown action name: Bogus"):
+            validate_policy(po2, bogus)
+
+    def test_execute_raises(self, po2, bogus):
+        start = EpistemicState(po2.initial.model, {1})
+        with pytest.raises(ModelError, match="unknown action name: Bogus"):
+            execute(po2, bogus, start)
+
+    def test_enumerate_executions_raises(self, po2, bogus):
+        start = EpistemicState(po2.initial.model, {1})
+        with pytest.raises(ModelError, match="unknown action name: Bogus"):
+            enumerate_executions(po2, bogus, start)
 
 
 class TestExecute:
@@ -493,6 +527,89 @@ class TestThreeOffices:
         assert report.ok
         assert report.execution_lengths == (4, 6, 8)
         assert len(report.executions) == 3
+
+
+def offices_document(n):
+    """THREE_OFFICES with ``n`` possible present locations."""
+    offices = [f"PostOffice{i}" for i in range(1, n + 1)]
+    head = THREE_OFFICES[: THREE_OFFICES.index("action TryPickUp")]
+    head = head.replace("PostOffice1, PostOffice2, PostOffice3", ", ".join(offices))
+    goal = THREE_OFFICES[THREE_OFFICES.index("goal {") : THREE_OFFICES.index("task {")]
+    pickups = "".join(
+        f"action TryPickUp(Father,Present,{po}) {{\n"
+        "  event take {\n"
+        f"    pre: At(Father,{po}) & At(Present,{po}) & !Has(Father,Present);\n"
+        f"    post: Has(Father,Present) & !At(Present,{po});\n"
+        "  }\n"
+        f"  event miss {{ pre: At(Father,{po}) & !At(Present,{po}); post: top; }}\n"
+        "  designated take, miss;\n"
+        "}\n"
+        for po in offices
+    )
+    worlds = "".join(
+        f"  world w{i} {{ At(Father,Home), At(Present,{po}) }}\n"
+        for i, po in enumerate(offices, 1)
+    )
+    edges = "".join(
+        f"  edge Father: w{i} -- w{j};\n"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    designated = ", ".join(f"w{i}" for i in range(1, n + 1))
+    state = f"state s0 {{\n{worlds}{edges}  designated {designated};\n}}\n"
+    actions = ", ".join(["Go", *(f"TryPickUp(Father,Present,{po})" for po in offices), "Wrap"])
+    task = f"task {{\n  initial: s0;\n  actions: {actions};\n  owner: Father;\n}}\n"
+    return head + pickups + state + goal + task
+
+
+def policy_graph(policy):
+    """Everything a solved policy carries, with dict order."""
+    if policy is None:
+        return None
+    return (
+        list(policy.entries.items()),
+        list(policy.states),
+        policy.roots,
+        list(policy.children.items()),
+    )
+
+
+class TestSolvePolicyOracle:
+    """Solved-labelling against the repeat-until-stable induction it
+    replaced (``tests/reference_policy.py``): same entries in the same
+    order, same states, roots and children."""
+
+    def assert_same(self, task, caps):
+        """Compare at every cap; return how many caps have a policy."""
+        solved = 0
+        for cap in caps:
+            expected = policy_graph(reference_solve_policy(task, cap))
+            assert policy_graph(solve_policy(task, cap)) == expected, cap
+            solved += expected is not None
+        return solved
+
+    def test_offices_document_matches_three_offices(self, three_offices):
+        assert parse_task(offices_document(3)).task == three_offices
+
+    @pytest.mark.parametrize("name", TASK_FILES)
+    def test_task_files(self, name):
+        task = load_doc(name).task
+        if task.owner is not None:
+            self.assert_same(task, range(10))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_offices(self, n):
+        task = parse_task(offices_document(n)).task
+        assert len(task.actions) == (n + 1) ** 2 + n + 1  # Go, pickups, Wrap
+        self.assert_same(task, range(2 * n + 1, 2 * n + 4))
+
+    def test_random_localized_tasks(self):
+        rng = random.Random(67)
+        solved = 0
+        for _ in range(300):
+            task = gen_task(rng)
+            solved += self.assert_same(localize(task, task.vocab.agents[0]), range(5))
+        assert solved > 500  # about half of the 1,500 (task, cap) pairs
 
 
 def exhaustive_min_solution(task, cap):
