@@ -14,7 +14,7 @@ import logging
 from typing import Iterable, Sequence
 
 from .errors import (
-    EmptyProductError,
+    ConsistencyError,
     ModelError,
     NotApplicableError,
     VocabularyMismatchError,
@@ -89,9 +89,13 @@ class EdgeGuard:
 
 
 class EpistemicAction:
-    """An action model plus a non-empty set of designated events."""
+    """An action model plus a non-empty set of designated events.
 
-    __slots__ = ("name", "vocab", "events", "designated", "edges", "_guards")
+    When it is built, each precondition of literal-conjunction shape is
+    compiled to its literals, and each agent's guarded edges are indexed by
+    source event, with top guards stored as None."""
+
+    __slots__ = ("name", "vocab", "events", "designated", "edges", "_guards", "_pre", "_out")
 
     def __init__(
         self,
@@ -113,8 +117,13 @@ class EpistemicAction:
         names = [e.name for e in events]
         if len(set(names)) != n:
             raise ModelError(f"action {name}: duplicate event names")
+        pres: list[LiteralConjunction | None] = []
         for event in events:
             validate_over(vocab, event.pre)
+            try:
+                pres.append(LiteralConjunction.from_formula(event.pre))
+            except ConsistencyError:  # modal, disjunctive or contradictory
+                pres.append(None)
         seen: set[tuple[int, int, int]] = set()
         kept: list[EdgeGuard] = []
         for g in edges:
@@ -132,12 +141,18 @@ class EpistemicAction:
             seen.add(key)
             kept.append(g)
         kept.sort(key=lambda g: (g.agent.index, g.source, g.target))
+        out: list[list[list]] = [[[] for _ in range(n)] for _ in vocab.agents]
+        for g in kept:
+            guard = None if isinstance(g.condition, Top) else g.condition
+            out[g.agent.index][g.source].append((g.target, guard))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "designated", des)
         object.__setattr__(self, "edges", tuple(kept))
         object.__setattr__(self, "_guards", None)
+        object.__setattr__(self, "_pre", tuple(pres))
+        object.__setattr__(self, "_out", out)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("EpistemicAction is immutable")
@@ -222,18 +237,25 @@ def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
     return inapplicable_witness(state, action) is None
 
 
+def _holds(action: EpistemicAction, e: int, model: EpistemicModel, w: int) -> bool:
+    """Event ``e``'s precondition at world ``w``, unchecked: the action
+    validated it over its vocabulary when it was built."""
+    pre = action._pre[e]
+    if pre is None:
+        return _eval(model, w, action.events[e].pre)
+    label = model.labels[w]
+    return pre.positives <= label and not pre.negatives & label
+
+
 def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:
     """A designated world with no applicable designated event, or None.
 
-    Preconditions are evaluated unchecked: the action validated them over
-    its vocabulary when it was built, and the state must share it."""
+    The state must share the action's vocabulary (checked)."""
     _check_shared_vocab(state, action)
     model = state.model
     designated_events = sorted(action.designated)
     for w in sorted(state.designated):
-        if not any(
-            _eval(model, w, action.events[e].pre) for e in designated_events
-        ):
+        if not any(_holds(action, e, model, w) for e in designated_events):
             return w
     return None
 
@@ -244,58 +266,60 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
     An agent edge links (w,e) to (w',e') when w relates to w' and there is
     an agent edge e -> e' whose guard holds at the source world w in the
     pre-update model; postconditions delete negatives then add positives.
-    Preconditions and guards are evaluated unchecked, as in
-    :func:`inapplicable_witness`, which also checks the shared vocabulary.
+    Preconditions and guards are evaluated unchecked. A designated world
+    paired with no designated event is reported as the witness of
+    :class:`NotApplicableError`, after the shared-vocabulary check.
     """
-    witness = inapplicable_witness(state, action)
-    if witness is not None:
-        raise NotApplicableError(
-            f"action {action.name} not applicable: designated world"
-            f" {state.model.world_names[witness]} satisfies no designated event's"
-            " precondition",
-            witness=witness,
-        )
+    _check_shared_vocab(state, action)
     model = state.model
     vocab = model.vocab
+    events = range(len(action.events))
 
+    # slot[e][w]: the product index of (w, e), or None when e's
+    # precondition fails at w. Pairs are numbered world-major.
+    slot: list[list[int | None]] = [[None] * model.n for _ in events]
     pairs: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
     for w in range(model.n):
-        for e, event in enumerate(action.events):
-            if _eval(model, w, event.pre):
-                index[(w, e)] = len(pairs)
+        for e in events:
+            if _holds(action, e, model, w):
+                slot[e][w] = len(pairs)
                 pairs.append((w, e))
-    if not pairs:
-        raise EmptyProductError(
-            f"product of state with action {action.name} has no worlds"
-        )
+    designated_events = sorted(action.designated)
+    for w in sorted(state.designated):
+        if all(slot[e][w] is None for e in designated_events):
+            raise NotApplicableError(
+                f"action {action.name} not applicable: designated world"
+                f" {model.world_names[w]} satisfies no designated event's"
+                " precondition",
+                witness=w,
+            )
 
     names = [
         f"({model.world_names[w]},{action.events[e].name})" for (w, e) in pairs
     ]
     labels = [action.events[e].post.apply_to(model.labels[w]) for (w, e) in pairs]
 
-    edges: dict[Agent, set[tuple[int, int]]] = {agent: set() for agent in vocab.agents}
+    edges: dict[Agent, set[tuple[int, int]]] = {}
     for agent in vocab.agents:
-        guard_table = action.guards(agent)
-        for (w, e) in pairs:
-            i = index[(w, e)]
+        out = action._out[agent.index]
+        linked: set[tuple[int, int]] = set()
+        for i, (w, e) in enumerate(pairs):
             world_succ = model.successors(agent, w)
-            event_succ: list[int] = [e]
-            for (src, tgt), guard in guard_table.items():
-                if src == e and _eval(model, w, guard):
-                    event_succ.append(tgt)
-            for wp in world_succ:
-                for ep in event_succ:
-                    j = index.get((wp, ep))
+            columns = [slot[e]] + [
+                slot[t] for t, guard in out[e] if guard is None or _eval(model, w, guard)
+            ]
+            for column in columns:
+                for wp in world_succ:
+                    j = column[wp]
                     if j is not None and j != i:
-                        edges[agent].add((i, j))
+                        linked.add((i, j))
+        edges[agent] = linked
 
     designated = {
-        index[(w, e)]
+        slot[e][w]
         for w in state.designated
-        for e in sorted(action.designated)
-        if (w, e) in index
+        for e in designated_events
+        if slot[e][w] is not None
     }
     new_model = EpistemicModel(vocab, names, labels, edges)
     return EpistemicState(new_model, designated)

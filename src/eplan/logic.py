@@ -43,7 +43,7 @@ class Vocabulary:
     order, which fixes every deterministic ordering downstream.
     """
 
-    __slots__ = ("atoms", "agents", "_atom_by_name", "_agent_by_name")
+    __slots__ = ("atoms", "agents", "_atom_by_name", "_agent_by_name", "_atom_set")
 
     def __init__(self, atom_names: Iterable[str], agent_names: Iterable[str]):
         atoms = []
@@ -64,6 +64,7 @@ class Vocabulary:
         object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "_atom_by_name", seen)
         object.__setattr__(self, "_agent_by_name", aseen)
+        object.__setattr__(self, "_atom_set", frozenset(atoms))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Vocabulary is immutable")

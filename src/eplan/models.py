@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import ModelError, VocabularyError, VocabularyMismatchError
+from .errors import ModelError, VocabularyError
 from .logic import Agent, Atom, Vocabulary
 
 Edge = tuple[int, int]
@@ -25,9 +25,9 @@ class EpistemicModel:
     one pass over its edges on the agent's first query, and
     union-reachability is cached per world; both caches only ever gain
     entries that are functions of the model, so sharing is safe. A model
-    built by :func:`bisim_contract` is marked minimal (no two of its worlds
-    are bisimilar), so contracting a state over it again is a restriction
-    to the designated-reachable worlds, with no refinement.
+    that :func:`bisim_contract` builds or returns is marked minimal (no two
+    of its worlds are bisimilar), so contracting a state over it again is a
+    restriction to the designated-reachable worlds, with no refinement.
     """
 
     __slots__ = ("vocab", "world_names", "labels", "edges", "_succ", "_reach", "_minimal")
@@ -44,13 +44,14 @@ class EpistemicModel:
         if len(labels) != len(world_names):
             raise ModelError("labels and world names disagree in length")
         n = len(world_names)
-        frozen_labels = []
-        for label in labels:
-            fl = frozenset(label)
+        frozen_labels = [frozenset(label) for label in labels]
+        atom_set = vocab._atom_set
+        for fl in frozen_labels:
+            if fl <= atom_set:
+                continue
             for atom in fl:
                 if atom.index >= len(vocab.atoms) or vocab.atoms[atom.index] != atom:
                     raise VocabularyError(f"label atom {atom.name} not in vocabulary")
-            frozen_labels.append(fl)
         edge_map: dict[Agent, frozenset[Edge]] = {}
         edges = edges or {}
         for agent in vocab.agents:
@@ -327,17 +328,21 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     The result is bisimilar to ``state``, has no two bisimilar worlds, and
     its designated set is the image of the input's designated set. Worlds
     unreachable from the designated set are dropped here (and only here).
-    The result's model is marked minimal. Over a minimal model the
+    The result's model is marked minimal. Refinement runs only when two
+    reachable worlds share a label. Otherwise no two of them can be
+    bisimilar, and neither can two worlds of a minimal model (the
     designated-reachable part is a generated submodel, which keeps
-    bisimilarity, so its worlds are already the quotient's blocks: the
-    state itself is returned when every world is reachable, and otherwise
-    the reachable worlds are kept in index order, exactly as refinement
-    would give them.
+    bisimilarity), so the worlds are already the quotient's blocks: the
+    state itself is returned, its model marked minimal, when every world
+    is reachable, and otherwise the reachable worlds are kept in index
+    order, exactly as refinement would give them.
     """
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
-    if model._minimal:
+    labels = model.labels
+    if model._minimal or len({labels[w] for w in reach}) == len(reach):
         if len(reach) == model.n:
+            object.__setattr__(model, "_minimal", True)
             return state
         ordered_blocks = [[w] for w in reach]
     else:
@@ -346,9 +351,7 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         def succ(agent: Agent, w: int):
             return [v for v in model.successors(agent, w) if v in in_reach]
 
-        block = _refine(
-            reach, model.labels, succ, model.vocab.agents, _label_blocks(reach, model.labels)
-        )
+        block = _refine(reach, labels, succ, model.vocab.agents, _label_blocks(reach, labels))
 
         # One quotient world per block, ordered by smallest member index.
         members: dict[int, list[int]] = {}
@@ -358,47 +361,17 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
 
     names = [model.world_names[min(ws)] for ws in ordered_blocks]
-    labels = [model.labels[min(ws)] for ws in ordered_blocks]
     edges: dict[Agent, set[Edge]] = {agent: set() for agent in model.vocab.agents}
     for agent in model.vocab.agents:
         for (u, v) in model.edges[agent]:
             if u in block_of and v in block_of and block_of[u] != block_of[v]:
                 edges[agent].add((block_of[u], block_of[v]))
     designated = {block_of[w] for w in state.designated}
-    contracted = EpistemicModel(model.vocab, names, labels, edges)
+    contracted = EpistemicModel(
+        model.vocab, names, [labels[min(ws)] for ws in ordered_blocks], edges
+    )
     object.__setattr__(contracted, "_minimal", True)
     return EpistemicState(contracted, designated)
-
-
-def bisimilar(s: EpistemicState, t: EpistemicState) -> bool:
-    """Whether a bisimulation links the two designated sets both ways.
-
-    Computed by refining the disjoint union of both models and checking
-    that every designated world of each state shares a block with a
-    designated world of the other.
-    """
-    if s.model.vocab != t.model.vocab:
-        raise VocabularyMismatchError("states are over different atom/agent tables")
-    ms, mt = s.model, t.model
-    offset = ms.n
-    worlds = list(range(ms.n + mt.n))
-
-    def labels(w: int):
-        return ms.labels[w] if w < offset else mt.labels[w - offset]
-
-    def succ(agent: Agent, w: int):
-        if w < offset:
-            return ms.successors(agent, w)
-        return [v + offset for v in mt.successors(agent, w - offset)]
-
-    class _L:
-        def __getitem__(self, w):
-            return labels(w)
-
-    block = _refine(worlds, _L(), succ, ms.vocab.agents, _label_blocks(worlds, _L()))
-    s_blocks = {block[w] for w in s.designated}
-    t_blocks = {block[w + offset] for w in t.designated}
-    return s_blocks <= t_blocks and t_blocks <= s_blocks
 
 
 def canonical_key(state: EpistemicState) -> bytes:
@@ -422,6 +395,8 @@ def canonical_key(state: EpistemicState) -> bytes:
     ]
     rank = _ranks(sigs)
     for _ in range(n):
+        if max(rank) == n - 1:
+            break  # discrete: another round cannot change a rank
         sigs = [
             (
                 rank[w],

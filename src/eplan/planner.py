@@ -555,13 +555,11 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
     executions: list[Execution] = []
 
     by_view: dict[bytes, str] = {}
-    checked: set[bytes] = set()
 
     def check_state(state: EpistemicState, trace: tuple[str, ...]) -> str | None:
         name = policy.action_for(state)
         if name is None:
             return None
-        key = canonical_key(state)
         view = bisim_contract(local_state(state, owner))
         view_key = canonical_key(view)
         if view_key in by_view and by_view[view_key] != name:
@@ -573,9 +571,6 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
                 )
             )
         by_view.setdefault(view_key, name)
-        if key in checked:
-            return name
-        checked.add(key)
         if not applicable(view, task.action_named(name)):
             violations.append(
                 Violation(
@@ -597,7 +592,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
                 )
             )
 
-    # Walk the reachable policy graph, checking (a)/(b) at each state.
+    # Walk the reachable policy graph, checking (a)/(b) once per state key.
     frontier: deque[tuple[EpistemicState, tuple[str, ...]]] = deque((g, ()) for g in initial)
     walked: set[bytes] = set()
     while frontier:

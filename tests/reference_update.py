@@ -1,0 +1,290 @@
+"""Product update, applicability witness, bisimulation contraction and
+canonical keys as they stood before label-distinct contraction, compiled
+literal preconditions and per-event guard indexes. Kept unchanged as the
+reference that ``tests/test_actions.py`` and ``tests/test_models.py``
+compare the library against, together with ``bisimilar``, the
+refinement-based bisimilarity check that the key property is tested with.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from eplan.actions import EpistemicAction
+from eplan.errors import (
+    EmptyProductError,
+    NotApplicableError,
+    VocabularyMismatchError,
+)
+from eplan.logic import Agent, _eval
+from eplan.models import EpistemicModel, EpistemicState
+
+Edge = tuple[int, int]
+
+
+def _check_shared_vocab(state: EpistemicState, action: EpistemicAction) -> None:
+    if state.model.vocab != action.vocab:
+        raise VocabularyMismatchError(
+            f"state and action {action.name} use different atom/agent tables"
+        )
+
+
+def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:
+    """A designated world with no applicable designated event, or None.
+
+    Preconditions are evaluated unchecked: the action validated them over
+    its vocabulary when it was built, and the state must share it."""
+    _check_shared_vocab(state, action)
+    model = state.model
+    designated_events = sorted(action.designated)
+    for w in sorted(state.designated):
+        if not any(
+            _eval(model, w, action.events[e].pre) for e in designated_events
+        ):
+            return w
+    return None
+
+
+def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:
+    """The product update: pair worlds with events whose preconditions hold.
+
+    An agent edge links (w,e) to (w',e') when w relates to w' and there is
+    an agent edge e -> e' whose guard holds at the source world w in the
+    pre-update model; postconditions delete negatives then add positives.
+    Preconditions and guards are evaluated unchecked, as in
+    :func:`inapplicable_witness`, which also checks the shared vocabulary.
+    """
+    witness = inapplicable_witness(state, action)
+    if witness is not None:
+        raise NotApplicableError(
+            f"action {action.name} not applicable: designated world"
+            f" {state.model.world_names[witness]} satisfies no designated event's"
+            " precondition",
+            witness=witness,
+        )
+    model = state.model
+    vocab = model.vocab
+
+    pairs: list[tuple[int, int]] = []
+    index: dict[tuple[int, int], int] = {}
+    for w in range(model.n):
+        for e, event in enumerate(action.events):
+            if _eval(model, w, event.pre):
+                index[(w, e)] = len(pairs)
+                pairs.append((w, e))
+    if not pairs:
+        raise EmptyProductError(
+            f"product of state with action {action.name} has no worlds"
+        )
+
+    names = [
+        f"({model.world_names[w]},{action.events[e].name})" for (w, e) in pairs
+    ]
+    labels = [action.events[e].post.apply_to(model.labels[w]) for (w, e) in pairs]
+
+    edges: dict[Agent, set[tuple[int, int]]] = {agent: set() for agent in vocab.agents}
+    for agent in vocab.agents:
+        guard_table = action.guards(agent)
+        for (w, e) in pairs:
+            i = index[(w, e)]
+            world_succ = model.successors(agent, w)
+            event_succ: list[int] = [e]
+            for (src, tgt), guard in guard_table.items():
+                if src == e and _eval(model, w, guard):
+                    event_succ.append(tgt)
+            for wp in world_succ:
+                for ep in event_succ:
+                    j = index.get((wp, ep))
+                    if j is not None and j != i:
+                        edges[agent].add((i, j))
+
+    designated = {
+        index[(w, e)]
+        for w in state.designated
+        for e in sorted(action.designated)
+        if (w, e) in index
+    }
+    new_model = EpistemicModel(vocab, names, labels, edges)
+    return EpistemicState(new_model, designated)
+
+
+def _refine(
+    worlds: Sequence[int],
+    labels,
+    succ,
+    agents: Sequence[Agent],
+    initial: dict[int, int],
+) -> dict[int, int]:
+    """Iterate successor-set splitting until the partition is stable.
+
+    ``succ(agent, w)`` must include the implicit reflexive successor.
+    Returns a dense block id per world.
+    """
+    block = dict(initial)
+    while True:
+        sig_to_id: dict[tuple, int] = {}
+        new_block: dict[int, int] = {}
+        for w in worlds:
+            sig = (
+                block[w],
+                tuple(
+                    frozenset(block[v] for v in succ(agent, w))
+                    for agent in agents
+                ),
+            )
+            if sig not in sig_to_id:
+                sig_to_id[sig] = len(sig_to_id)
+            new_block[w] = sig_to_id[sig]
+        if len(set(new_block.values())) == len(set(block.values())):
+            return new_block
+        block = new_block
+
+
+def _label_blocks(worlds: Sequence[int], labels) -> dict[int, int]:
+    key_to_id: dict[tuple, int] = {}
+    out: dict[int, int] = {}
+    for w in worlds:
+        key = tuple(sorted(a.index for a in labels[w]))
+        if key not in key_to_id:
+            key_to_id[key] = len(key_to_id)
+        out[w] = key_to_id[key]
+    return out
+
+
+def bisim_contract(state: EpistemicState) -> EpistemicState:
+    """Quotient by the largest bisimulation on the designated-reachable part.
+
+    The result is bisimilar to ``state``, has no two bisimilar worlds, and
+    its designated set is the image of the input's designated set. Worlds
+    unreachable from the designated set are dropped here (and only here).
+    The result's model is marked minimal. Over a minimal model the
+    designated-reachable part is a generated submodel, which keeps
+    bisimilarity, so its worlds are already the quotient's blocks: the
+    state itself is returned when every world is reachable, and otherwise
+    the reachable worlds are kept in index order, exactly as refinement
+    would give them.
+    """
+    model = state.model
+    reach = sorted(model.reachable_from(state.designated))
+    if model._minimal:
+        if len(reach) == model.n:
+            return state
+        ordered_blocks = [[w] for w in reach]
+    else:
+        in_reach = set(reach)
+
+        def succ(agent: Agent, w: int):
+            return [v for v in model.successors(agent, w) if v in in_reach]
+
+        block = _refine(
+            reach, model.labels, succ, model.vocab.agents, _label_blocks(reach, model.labels)
+        )
+
+        # One quotient world per block, ordered by smallest member index.
+        members: dict[int, list[int]] = {}
+        for w in reach:
+            members.setdefault(block[w], []).append(w)
+        ordered_blocks = sorted(members.values(), key=lambda ws: min(ws))
+    block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
+
+    names = [model.world_names[min(ws)] for ws in ordered_blocks]
+    labels = [model.labels[min(ws)] for ws in ordered_blocks]
+    edges: dict[Agent, set[Edge]] = {agent: set() for agent in model.vocab.agents}
+    for agent in model.vocab.agents:
+        for (u, v) in model.edges[agent]:
+            if u in block_of and v in block_of and block_of[u] != block_of[v]:
+                edges[agent].add((block_of[u], block_of[v]))
+    designated = {block_of[w] for w in state.designated}
+    contracted = EpistemicModel(model.vocab, names, labels, edges)
+    object.__setattr__(contracted, "_minimal", True)
+    return EpistemicState(contracted, designated)
+
+
+def bisimilar(s: EpistemicState, t: EpistemicState) -> bool:
+    """Whether a bisimulation links the two designated sets both ways.
+
+    Computed by refining the disjoint union of both models and checking
+    that every designated world of each state shares a block with a
+    designated world of the other.
+    """
+    if s.model.vocab != t.model.vocab:
+        raise VocabularyMismatchError("states are over different atom/agent tables")
+    ms, mt = s.model, t.model
+    offset = ms.n
+    worlds = list(range(ms.n + mt.n))
+
+    def labels(w: int):
+        return ms.labels[w] if w < offset else mt.labels[w - offset]
+
+    def succ(agent: Agent, w: int):
+        if w < offset:
+            return ms.successors(agent, w)
+        return [v + offset for v in mt.successors(agent, w - offset)]
+
+    class _L:
+        def __getitem__(self, w):
+            return labels(w)
+
+    block = _refine(worlds, _L(), succ, ms.vocab.agents, _label_blocks(worlds, _L()))
+    s_blocks = {block[w] for w in s.designated}
+    t_blocks = {block[w + offset] for w in t.designated}
+    return s_blocks <= t_blocks and t_blocks <= s_blocks
+
+
+def canonical_key(state: EpistemicState) -> bytes:
+    """A deterministic byte key with: equal keys iff bisimilar states.
+
+    Contracts first, then orders the (pairwise non-bisimilar) quotient
+    worlds by an iterated signature: label set and designated flag first,
+    then per-agent sorted successor-rank multisets, refined to a fixpoint.
+    Ranks are assigned by sorting signatures, so the final order does not
+    depend on the input's world numbering; any residual tie (impossible
+    after contraction, kept for safety) breaks by world index.
+    """
+    c = bisim_contract(state)
+    model = c.model
+    n = model.n
+    agents = model.vocab.agents
+
+    sigs: list[tuple] = [
+        (tuple(sorted(a.index for a in model.labels[w])), w in c.designated)
+        for w in range(n)
+    ]
+    rank = _ranks(sigs)
+    for _ in range(n):
+        sigs = [
+            (
+                rank[w],
+                tuple(
+                    tuple(sorted(rank[v] for v in model.successors(agent, w)))
+                    for agent in agents
+                ),
+            )
+            for w in range(n)
+        ]
+        new_rank = _ranks(sigs)
+        if new_rank == rank:
+            break
+        rank = new_rank
+
+    order = sorted(range(n), key=lambda w: (rank[w], w))
+    position = {w: i for i, w in enumerate(order)}
+    payload = (
+        len(model.vocab.atoms),
+        len(agents),
+        n,
+        tuple(
+            (tuple(sorted(a.index for a in model.labels[w])), w in c.designated)
+            for w in order
+        ),
+        tuple(
+            tuple(sorted((position[u], position[v]) for (u, v) in model.edges[agent]))
+            for agent in agents
+        ),
+    )
+    return repr(payload).encode("ascii")
+
+
+def _ranks(sigs: list[tuple]) -> list[int]:
+    table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [table[sig] for sig in sigs]

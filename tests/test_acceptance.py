@@ -32,7 +32,6 @@ from eplan import (
     applicable,
     apply_belief,
     bisim_contract,
-    bisimilar,
     canonical_key,
     eval_state,
     from_belief_state,
@@ -45,6 +44,7 @@ from eplan import (
     validate_policy,
 )
 from test_classical import belief_actions, birthday_task, po_vocab
+from reference_update import bisimilar
 
 
 def report(number: int, text: str) -> None:

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from conftest import gen_action, gen_equivalence_state, gen_state, gen_vocab
+import reference_update as reference
+from conftest import gen_action, gen_equivalence_state, gen_state, gen_task, gen_vocab
 from eplan import (
+    And,
     EdgeGuard,
     EmptyProductError,
     EpistemicAction,
+    EplanError,
     EpistemicState,
     Event,
     Knows,
@@ -22,8 +25,9 @@ from eplan import (
     VocabularyMismatchError,
     applicable,
     bisim_contract,
-    bisimilar,
+    canonical_key,
     eval_state,
+    globals_of,
     induced_action,
     is_local_for,
     local_action,
@@ -33,6 +37,7 @@ from eplan import (
     skip_action,
 )
 from eplan.actions import inapplicable_witness
+from reference_update import bisimilar
 
 
 @pytest.fixture
@@ -435,3 +440,104 @@ class TestGuards:
                 "g", vocab, events, {0},
                 [EdgeGuard(a, 0, 1), EdgeGuard(a, 0, 1, Not(TOP))],
             )
+
+
+def _assert_matches_reference(state, action):
+    """Witness, product update, contraction and keys equal the pre-compiled
+    code of ``tests/reference_update.py``. The library and the reference
+    each get their own product, since contraction marks models minimal."""
+    assert inapplicable_witness(state, action) == reference.inapplicable_witness(state, action)
+    try:
+        expected = reference.product_update(state, action)
+    except EplanError as exc:
+        with pytest.raises(type(exc)) as got:
+            product_update(state, action)
+        assert type(got.value) is type(exc)
+        assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
+        assert str(got.value) == str(exc)
+        return
+    updated = product_update(state, action)
+    assert updated == expected
+    assert updated.model.world_names == expected.model.world_names
+    pairs = [(updated, expected)] + list(zip(globals_of(updated), globals_of(expected)))
+    for ours, theirs in pairs:
+        contracted, oracle = bisim_contract(ours), reference.bisim_contract(theirs)
+        assert contracted == oracle
+        assert contracted.model.world_names == oracle.model.world_names
+        assert canonical_key(ours) == reference.canonical_key(theirs)
+        assert canonical_key(contracted) == reference.canonical_key(oracle)
+
+
+def _crafted_cases():
+    """Shapes the generated tasks miss: a contradictory literal precondition,
+    a non-top guard, a K precondition, unreachable worlds with distinct
+    labels, and equal-label worlds that are not bisimilar."""
+    vocab = Vocabulary(["p", "q"], ["a", "b"])
+    p, q = Prop(vocab.atom("p")), Prop(vocab.atom("q"))
+    a, b = vocab.agent("a"), vocab.agent("b")
+    bare = LiteralConjunction()
+    chain = EpistemicState(
+        _model(vocab, [{p.atom}, set(), {q.atom}, {p.atom, q.atom}],
+               {a: [(0, 1), (1, 0)], b: [(1, 2)]}),
+        {0},
+    )
+    twins = EpistemicState(
+        _model(vocab, [{p.atom}, {p.atom}, {q.atom}, set()],
+               {a: [(0, 2), (1, 3)], b: [(0, 1), (1, 0)]}),
+        {0, 1},
+    )
+    contradictory = EpistemicAction(
+        "contradictory", vocab,
+        [Event("x", And(p, Not(p)), bare), Event("y", TOP, bare)], {1},
+        [EdgeGuard(a, 1, 0)],
+    )
+    contradictory_designated = EpistemicAction(
+        "contradictory_designated", vocab, [Event("x", And(p, Not(p)), bare)], {0}
+    )
+    guarded = EpistemicAction(
+        "guarded", vocab,
+        [Event("x", TOP, LiteralConjunction.of([q.atom])), Event("y", Not(q), bare)], {0},
+        [EdgeGuard(a, 0, 1, p), EdgeGuard(b, 0, 1, Knows(a, p)), EdgeGuard(b, 1, 0)],
+    )
+    modal = EpistemicAction(
+        "modal", vocab,
+        [Event("yes", Knows(a, p), bare), Event("no", Not(Knows(a, p)), bare)], {0, 1},
+    )
+    known = EpistemicAction("known", vocab, [Event("x", Knows(b, q), bare)], {0})
+    skip = skip_action(vocab)
+    states = {"chain": chain, "twins": twins}
+    actions = [contradictory, contradictory_designated, guarded, modal, known, skip]
+    return [
+        pytest.param(state, action, id=f"{name}-{action.name}")
+        for name, state in states.items()
+        for action in actions
+    ]
+
+
+class TestReferenceOracle:
+    def test_generated_pairs_match_reference(self):
+        rng = random.Random(71)
+        pairs = 0
+        while pairs < 500:
+            task = gen_task(rng, max_worlds=4)
+            for action in task.actions:
+                _assert_matches_reference(task.initial, action)
+                pairs += 1
+                if applicable(task.initial, action):
+                    # A second step starts from a contracted (minimal) model.
+                    after = bisim_contract(product_update(task.initial, action))
+                    _assert_matches_reference(after, rng.choice(task.actions))
+
+    @pytest.mark.parametrize("state, action", _crafted_cases())
+    def test_crafted_cases_match_reference(self, state, action):
+        _assert_matches_reference(state, action)
+        for designated in ({0}, {1}, {2}, {0, 3}):
+            sub = EpistemicState(state.model, designated)
+            same = EpistemicState(
+                _model(state.model.vocab, state.model.labels, state.model.edges), designated
+            )
+            assert bisim_contract(sub) == reference.bisim_contract(same)
+            assert bisim_contract(sub).model.world_names == (
+                reference.bisim_contract(same).model.world_names
+            )
+            assert canonical_key(sub) == reference.canonical_key(same)

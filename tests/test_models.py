@@ -15,7 +15,6 @@ from eplan import (
     Vocabulary,
     VocabularyMismatchError,
     bisim_contract,
-    bisimilar,
     canonical_key,
     eval_state,
     from_belief_state,
@@ -24,6 +23,7 @@ from eplan import (
     local_state,
     product_update,
 )
+from reference_update import bisimilar
 
 
 def post_pickup_state(po2):

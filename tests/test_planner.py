@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import eplan.planner as planner
 from conftest import TASK_FILES, TWO_OFFICE_PLAN, gen_task, load_doc
 from eplan import (
     EpistemicState,
@@ -18,7 +19,6 @@ from eplan import (
     SequentialPlan,
     applicable,
     bisim_contract,
-    bisimilar,
     enumerate_executions,
     eval_state,
     execute,
@@ -33,6 +33,7 @@ from eplan import (
     validate_policy,
 )
 from reference_policy import solve_policy as reference_solve_policy
+from reference_update import bisimilar
 
 
 def global_task(po2, world):
@@ -407,6 +408,23 @@ class TestValidatePolicy:
         # The failing execution is the one where the present was at PO2.
         failing = [e for e in report.executions if e.outcome != "success"]
         assert failing
+
+    def test_each_walked_key_computed_once(self, monkeypatch):
+        # The walk computes a state's key once and hands the state to the
+        # check; 240 calls when the check recomputed it.
+        task = parse_task(offices_document(5)).task
+        policy = solve_policy(task, 13)
+        calls = []
+        key = planner.canonical_key
+
+        def counted(state):
+            calls.append(state)
+            return key(state)
+
+        monkeypatch.setattr(planner, "canonical_key", counted)
+        report = validate_policy(task, policy)
+        assert report.ok and report.execution_lengths == (4, 6, 8, 10, 12)
+        assert len(calls) == 204
 
     def test_coverage_violation(self, po2):
         empty = Policy(po2.owner)
