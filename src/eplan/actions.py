@@ -93,9 +93,14 @@ class EpistemicAction:
 
     When it is built, each precondition of literal-conjunction shape is
     compiled to its literals, and each agent's guarded edges are indexed by
-    source event, with top guards stored as None."""
+    source event, with top guards stored as None. ``_must`` holds the atoms
+    that every designated event's compiled precondition requires (empty when
+    one is not compiled): a designated world lacking one of them satisfies no
+    designated event."""
 
-    __slots__ = ("name", "vocab", "events", "designated", "edges", "_guards", "_pre", "_out")
+    __slots__ = (
+        "name", "vocab", "events", "designated", "edges", "_guards", "_pre", "_out", "_must",
+    )
 
     def __init__(
         self,
@@ -153,6 +158,14 @@ class EpistemicAction:
         object.__setattr__(self, "_guards", None)
         object.__setattr__(self, "_pre", tuple(pres))
         object.__setattr__(self, "_out", out)
+        designated_pres = [pres[e] for e in des]
+        object.__setattr__(
+            self,
+            "_must",
+            frozenset.intersection(*(pre.positives for pre in designated_pres))
+            if all(pre is not None for pre in designated_pres)
+            else frozenset(),
+        )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("EpistemicAction is immutable")
@@ -235,6 +248,26 @@ def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
     """For every designated world there is a designated event whose
     precondition holds there."""
     return inapplicable_witness(state, action) is None
+
+
+def applicable_actions(
+    state: EpistemicState, actions: Iterable[EpistemicAction]
+) -> list[EpistemicAction]:
+    """The actions applicable in ``state``, in the given order.
+
+    An action whose required atoms (``_must``) are not shared by every
+    designated world's label is skipped without evaluating a precondition;
+    every other action is decided by :func:`applicable`. The state must
+    share each action's vocabulary (checked for every action)."""
+    vocab, labels = state.model.vocab, state.model.labels
+    common = frozenset.intersection(*(labels[w] for w in state.designated))
+    out = []
+    for action in actions:
+        if action.vocab is not vocab:
+            _check_shared_vocab(state, action)
+        if action._must <= common and applicable(state, action):
+            out.append(action)
+    return out
 
 
 def _holds(action: EpistemicAction, e: int, model: EpistemicModel, w: int) -> bool:

@@ -49,6 +49,10 @@ BLOCK_KEYWORDS = (
 )
 RESERVED_HEADS = {"top", "bot", "K", "C"}
 DEFAULT_GROUND_CAP = 10_000
+# Formulas are parsed, evaluated and rendered recursively, one call per
+# level of `!`, `K`, `C` or parentheses; deeper input is rejected with a
+# positioned diagnostic instead of exhausting the interpreter's stack.
+MAX_FORMULA_NESTING = 200
 
 
 # --------------------------------------------------------------------------
@@ -512,6 +516,7 @@ class _FormulaParser:
         end = tokens[-1] if tokens else Token("eof", "", 1, 1)
         self.stream = _Stream(tokens + [Token("eof", "", end.line, end.col)], diagnostics)
         self.vocab = vocab
+        self.depth = 0
 
     def parse(self) -> Formula:
         s = self.stream
@@ -534,11 +539,22 @@ class _FormulaParser:
             phi = And(phi, self._unary())
         return phi
 
+    def _nested(self, parse, tok: Token) -> Formula:
+        """``parse()`` one nesting level below ``tok``, within the limit."""
+        if self.depth >= MAX_FORMULA_NESTING:
+            raise self.stream.error(
+                f"formula nested more than {MAX_FORMULA_NESTING} levels deep", tok
+            )
+        self.depth += 1
+        phi = parse()
+        self.depth -= 1
+        return phi
+
     def _unary(self) -> Formula:
         s = self.stream
         tok = s.peek()
         if s.eat("!"):
-            return Not(self._unary())
+            return Not(self._nested(self._unary, tok))
         if tok.kind == "ident" and tok.text == "K":
             s.next()
             s.expect("[")
@@ -546,10 +562,10 @@ class _FormulaParser:
             s.expect("]")
             if not self.vocab.has_agent(agent_tok.text):
                 raise s.error(f"unknown agent: {agent_tok.text}", agent_tok)
-            return Knows(self.vocab.agent(agent_tok.text), self._unary())
+            return Knows(self.vocab.agent(agent_tok.text), self._nested(self._unary, tok))
         if tok.kind == "ident" and tok.text == "C":
             s.next()
-            return Common(self._unary())
+            return Common(self._nested(self._unary, tok))
         if tok.kind == "ident" and tok.text == "top":
             s.next()
             return Top()
@@ -557,7 +573,7 @@ class _FormulaParser:
             s.next()
             return Bottom()
         if s.eat("("):
-            phi = self._or()
+            phi = self._nested(self._or, tok)
             s.expect(")")
             return phi
         if tok.kind == "ident":

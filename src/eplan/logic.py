@@ -88,6 +88,8 @@ class Vocabulary:
         return name in self._agent_by_name
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Vocabulary):
             return NotImplemented
         return self.atoms == other.atoms and self.agents == other.agents

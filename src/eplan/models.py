@@ -89,6 +89,9 @@ class EpistemicModel:
 
     def successors(self, agent: Agent, w: int) -> tuple[int, ...]:
         """Sorted i-successors of ``w``, including ``w`` itself."""
+        return self._successor_table(agent)[w]
+
+    def _successor_table(self, agent: Agent) -> tuple[tuple[int, ...], ...]:
         table = self._succ.get(agent.index)
         if table is None:
             out = [[u] for u in range(self.n)]
@@ -96,30 +99,34 @@ class EpistemicModel:
                 out[u].append(v)
             table = tuple(tuple(sorted(vs)) for vs in out)
             self._succ[agent.index] = table
-        return table[w]
+        return table
+
+    def closure(self, starts: Iterable[int], agents: Sequence[Agent]) -> set[int]:
+        """Worlds reachable from ``starts`` (included) under the union of
+        the given agents' relations: one multi-source search."""
+        tables = [self._successor_table(agent) for agent in agents]
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            u = frontier.pop()
+            for table in tables:
+                for v in table[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+        return seen
 
     def union_reach(self, w: int) -> frozenset[int]:
         """Worlds reachable from ``w`` under the union of all relations."""
         cached = self._reach.get(w)
         if cached is None:
-            seen = {w}
-            frontier = [w]
-            while frontier:
-                u = frontier.pop()
-                for agent in self.vocab.agents:
-                    for v in self.successors(agent, u):
-                        if v not in seen:
-                            seen.add(v)
-                            frontier.append(v)
-            cached = frozenset(seen)
+            cached = self.reachable_from((w,))
             self._reach[w] = cached
         return cached
 
     def reachable_from(self, starts: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for w in starts:
-            out.update(self.union_reach(w))
-        return frozenset(out)
+        """Worlds reachable from ``starts`` under the union of all relations."""
+        return frozenset(self.closure(starts, self.vocab.agents))
 
     def is_equivalence(self, agent: Agent) -> bool:
         """True when the agent's relation (with implicit loops) is an
@@ -148,10 +155,12 @@ class EpistemicState:
     """A model plus a non-empty set of designated worlds.
 
     Global when exactly one world is designated; doubles as the planner's
-    search node.
+    search node. A state that :func:`bisim_contract` returns is marked
+    contracted (every world designated-reachable, no two bisimilar), so
+    contracting it again returns it at once.
     """
 
-    __slots__ = ("model", "designated")
+    __slots__ = ("model", "designated", "_contracted")
 
     def __init__(self, model: EpistemicModel, designated: Iterable[int]):
         des = frozenset(designated)
@@ -162,6 +171,7 @@ class EpistemicState:
                 raise ModelError(f"designated world out of range: {w}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "designated", des)
+        object.__setattr__(self, "_contracted", False)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("EpistemicState is immutable")
@@ -225,16 +235,7 @@ def local_state(state: EpistemicState, agent: Agent) -> EpistemicState:
     the result is always closed under the agent's relation; for equivalence
     relations this coincides with taking the agent's equivalence classes.
     """
-    model = state.model
-    closed = set(state.designated)
-    frontier = list(closed)
-    while frontier:
-        w = frontier.pop()
-        for v in model.successors(agent, w):
-            if v not in closed:
-                closed.add(v)
-                frontier.append(v)
-    return EpistemicState(model, closed)
+    return EpistemicState(state.model, state.model.closure(state.designated, (agent,)))
 
 
 def is_local_for(state: EpistemicState, agent: Agent) -> bool:
@@ -328,7 +329,8 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     The result is bisimilar to ``state``, has no two bisimilar worlds, and
     its designated set is the image of the input's designated set. Worlds
     unreachable from the designated set are dropped here (and only here).
-    The result's model is marked minimal. Refinement runs only when two
+    The result is marked contracted and its model minimal; a state already
+    marked contracted is returned at once. Refinement runs only when two
     reachable worlds share a label. Otherwise no two of them can be
     bisimilar, and neither can two worlds of a minimal model (the
     designated-reachable part is a generated submodel, which keeps
@@ -337,12 +339,15 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     is reachable, and otherwise the reachable worlds are kept in index
     order, exactly as refinement would give them.
     """
+    if state._contracted:
+        return state
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
     labels = model.labels
     if model._minimal or len({labels[w] for w in reach}) == len(reach):
         if len(reach) == model.n:
             object.__setattr__(model, "_minimal", True)
+            object.__setattr__(state, "_contracted", True)
             return state
         ordered_blocks = [[w] for w in reach]
     else:
@@ -371,7 +376,9 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         model.vocab, names, [labels[min(ws)] for ws in ordered_blocks], edges
     )
     object.__setattr__(contracted, "_minimal", True)
-    return EpistemicState(contracted, designated)
+    out = EpistemicState(contracted, designated)
+    object.__setattr__(out, "_contracted", True)
+    return out
 
 
 def canonical_key(state: EpistemicState) -> bytes:

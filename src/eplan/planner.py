@@ -15,7 +15,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .actions import EpistemicAction, applicable, local_action, product_update
+from .actions import (
+    EpistemicAction,
+    applicable,
+    applicable_actions,
+    local_action,
+    product_update,
+)
 from .classical import breadth_first
 from .errors import ModelError, VocabularyMismatchError
 from .logic import Agent, Formula, Vocabulary, eval_state, validate_over
@@ -138,9 +144,8 @@ def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | No
     """
 
     def expand(state: EpistemicState):
-        for action in task.actions:
-            if applicable(state, action):
-                yield action.name, bisim_contract(product_update(state, action))
+        for action in applicable_actions(state, task.actions):
+            yield action.name, bisim_contract(product_update(state, action))
 
     steps = breadth_first(
         bisim_contract(task.initial),
@@ -264,15 +269,21 @@ def _owner_classes(
 
     Returns (key, contracted local state) per class, sorted by key. Globals
     with one owner closure share one view, so each closure is contracted
-    once."""
+    once. A closure that is the whole designated set of a contracted state
+    has that state itself as its view: the same model and designated set,
+    which contraction would return unchanged."""
+    model = state.model
     classes: dict[bytes, EpistemicState] = {}
     closures: set[frozenset[int]] = set()
-    for g in globals_of(state):
-        closure = local_state(g, owner)
-        if closure.designated in closures:
+    for w in sorted(state.designated):
+        closure = frozenset(model.closure((w,), (owner,)))
+        if closure in closures:
             continue
-        closures.add(closure.designated)
-        view = bisim_contract(closure)
+        closures.add(closure)
+        if state._contracted and closure == state.designated:
+            view = state
+        else:
+            view = bisim_contract(EpistemicState(model, closure))
         key = canonical_key(view)
         if key not in classes:
             classes[key] = view
@@ -316,9 +327,7 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         node = nodes[queue.popleft()]
         if node.goal or node.depth >= depth_cap:
             continue
-        for action in task.actions:
-            if not applicable(node.state, action):
-                continue
+        for action in applicable_actions(node.state, task.actions):
             succ = bisim_contract(product_update(node.state, action))
             child_keys = []
             for child_key, child_state in _owner_classes(succ, owner):

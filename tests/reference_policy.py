@@ -1,7 +1,11 @@
 """The strong-policy solver as it stood before solved-labelling: full
 min-max passes repeated until no height changes, a by-name pick pass and
-a by-name collect walk. Kept unchanged as the reference that
-``tests/test_planner.py`` compares ``solve_policy`` against."""
+a by-name collect walk, with every action tested for applicability at
+every node. ``_owner_classes`` is the observation-class split as it stood
+before owner closures were computed as world sets: one global state and
+one agent-local state per designated world, each closure contracted. Kept
+unchanged as the reference that ``tests/test_planner.py`` compares
+``solve_policy`` and ``planner._owner_classes`` against."""
 
 from __future__ import annotations
 
@@ -10,9 +14,33 @@ from dataclasses import dataclass, field
 
 from eplan.actions import applicable, product_update
 from eplan.errors import ModelError
-from eplan.logic import eval_state
-from eplan.models import EpistemicState, bisim_contract
-from eplan.planner import EpistemicTask, Policy, _owner_classes
+from eplan.logic import Agent, eval_state
+from eplan.models import EpistemicState, bisim_contract, canonical_key, globals_of
+from eplan.planner import EpistemicTask, Policy
+from reference_update import local_state
+
+
+def _owner_classes(
+    state: EpistemicState, owner: Agent
+) -> list[tuple[bytes, EpistemicState]]:
+    """Partition the globals of ``state`` into the owner's run-time
+    observation classes: globals sharing a bisimilar owner-local view.
+
+    Returns (key, contracted local state) per class, sorted by key. Globals
+    with one owner closure share one view, so each closure is contracted
+    once."""
+    classes: dict[bytes, EpistemicState] = {}
+    closures: set[frozenset[int]] = set()
+    for g in globals_of(state):
+        closure = local_state(g, owner)
+        if closure.designated in closures:
+            continue
+        closures.add(closure.designated)
+        view = bisim_contract(closure)
+        key = canonical_key(view)
+        if key not in classes:
+            classes[key] = view
+    return sorted(classes.items(), key=lambda kv: kv[0])
 
 
 @dataclass

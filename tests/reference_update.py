@@ -4,11 +4,17 @@ literal preconditions and per-event guard indexes. Kept unchanged as the
 reference that ``tests/test_actions.py`` and ``tests/test_models.py``
 compare the library against, together with ``bisimilar``, the
 refinement-based bisimilarity check that the key property is tested with.
+
+Reachability and the agent-local closure are the per-world searches that
+stood before the single multi-source search and the contracted-state mark
+(``EpistemicModel.union_reach`` and ``reachable_from`` as functions of the
+model, without the per-world cache), so the reference contraction does not
+run the reachability code under test.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from eplan.actions import EpistemicAction
 from eplan.errors import (
@@ -20,6 +26,46 @@ from eplan.logic import Agent, _eval
 from eplan.models import EpistemicModel, EpistemicState
 
 Edge = tuple[int, int]
+
+
+def union_reach(model: EpistemicModel, w: int) -> frozenset[int]:
+    """Worlds reachable from ``w`` under the union of all relations."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        u = frontier.pop()
+        for agent in model.vocab.agents:
+            for v in model.successors(agent, u):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return frozenset(seen)
+
+
+def reachable_from(model: EpistemicModel, starts: Iterable[int]) -> frozenset[int]:
+    out: set[int] = set()
+    for w in starts:
+        out.update(union_reach(model, w))
+    return frozenset(out)
+
+
+def local_state(state: EpistemicState, agent: Agent) -> EpistemicState:
+    """Agent's perspective: designated set closed under its relation.
+
+    For non-symmetric relations the forward-reachable closure is taken, so
+    the result is always closed under the agent's relation; for equivalence
+    relations this coincides with taking the agent's equivalence classes.
+    """
+    model = state.model
+    closed = set(state.designated)
+    frontier = list(closed)
+    while frontier:
+        w = frontier.pop()
+        for v in model.successors(agent, w):
+            if v not in closed:
+                closed.add(v)
+                frontier.append(v)
+    return EpistemicState(model, closed)
 
 
 def _check_shared_vocab(state: EpistemicState, action: EpistemicAction) -> None:
@@ -165,7 +211,7 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     would give them.
     """
     model = state.model
-    reach = sorted(model.reachable_from(state.designated))
+    reach = sorted(reachable_from(model, state.designated))
     if model._minimal:
         if len(reach) == model.n:
             return state

@@ -36,7 +36,7 @@ from eplan import (
     product_update,
     skip_action,
 )
-from eplan.actions import inapplicable_witness
+from eplan.actions import applicable_actions, inapplicable_witness
 from reference_update import bisimilar
 
 
@@ -541,3 +541,88 @@ class TestReferenceOracle:
                 reference.bisim_contract(same).model.world_names
             )
             assert canonical_key(sub) == reference.canonical_key(same)
+
+
+def _filtered(state, actions):
+    """The per-action applicability test that the node filter replaces."""
+    return [a for a in actions if applicable(state, a)]
+
+
+def _applicability_cases():
+    """Preconditions the required-atom filter must not misjudge: a K
+    precondition, a contradiction, a negative-only literal, designated
+    events that share an atom and events that do not."""
+    vocab = Vocabulary(["p", "q", "r"], ["a", "b"])
+    p, q, r = (Prop(vocab.atom(n)) for n in "pqr")
+    a = vocab.agent("a")
+    bare = LiteralConjunction()
+    model = _model(
+        vocab,
+        [{p.atom, q.atom}, {q.atom}, {p.atom, r.atom}, set()],
+        {a: [(0, 1), (1, 0), (2, 3)]},
+    )
+    states = [EpistemicState(model, d) for d in ({0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {1, 3})]
+
+    def action(name, *pres, designated=None):
+        events = [Event(f"e{i}", pre, bare) for i, pre in enumerate(pres)]
+        return EpistemicAction(name, vocab, events, designated or range(len(events)))
+
+    actions = [
+        action("knows", Knows(a, q)),
+        action("knows_and_literal", And(p, Knows(a, q)), q),
+        action("contradiction", And(p, Not(p))),
+        action("negative_only", Not(r)),
+        action("shared_q", And(p, q), q),
+        action("lacks_shared", And(p, q), r),
+        action("one_designated", And(p, r), q, designated={1}),
+        action("top", TOP),
+    ]
+    return states, actions
+
+
+class TestApplicableActions:
+    def test_required_atoms(self):
+        _, actions = _applicability_cases()
+        must = {action.name: {atom.name for atom in action._must} for action in actions}
+        assert must == {
+            "knows": set(),
+            "knows_and_literal": set(),
+            "contradiction": set(),
+            "negative_only": set(),
+            "shared_q": {"q"},
+            "lacks_shared": set(),
+            "one_designated": {"q"},
+            "top": set(),
+        }
+
+    def test_crafted_cases_match_per_action_test(self):
+        states, actions = _applicability_cases()
+        hits = 0
+        for state in states:
+            expected = _filtered(state, actions)
+            assert applicable_actions(state, actions) == expected
+            hits += len(expected)
+        assert 0 < hits < len(states) * len(actions)
+
+    def test_generated_tasks_match_per_action_test(self):
+        rng = random.Random(73)
+        for _ in range(500):
+            task = gen_task(rng, max_agents=3, max_worlds=4)
+            states = [task.initial]
+            for action in applicable_actions(task.initial, task.actions):
+                states.append(product_update(task.initial, action))
+                states.append(bisim_contract(states[-1]))
+            for state in states:
+                assert applicable_actions(state, task.actions) == _filtered(state, task.actions)
+
+    def test_mismatched_vocabulary_raises_even_when_filtered(self):
+        states, actions = _applicability_cases()
+        other = Vocabulary(["p", "q", "r", "s"], ["a", "b"])
+        s = Prop(other.atom("s"))
+        foreign = EpistemicAction(
+            "foreign", other, [Event("e", s, LiteralConjunction())], {0}
+        )
+        assert foreign._must == {other.atom("s")}
+        for state in states:
+            with pytest.raises(VocabularyMismatchError):
+                applicable_actions(state, actions + [foreign])

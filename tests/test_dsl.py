@@ -8,11 +8,12 @@ from conftest import GOLDEN_DIR, TASK_FILES, load_doc
 from eplan import (
     TaskParseError,
     Top,
+    Vocabulary,
     export_dot,
     parse_task,
     serialize_task,
 )
-from eplan.dsl import parse_formula, render_state, render_state_line
+from eplan.dsl import MAX_FORMULA_NESTING, parse_formula, render_state, render_state_line
 
 
 MINIMAL = """
@@ -168,6 +169,44 @@ task { initial: s0; actions: Link; }
                 parse_task(data)
             except TaskParseError:
                 pass  # diagnostics are the contract
+
+
+class TestNestingLimit:
+    """Formulas nested past ``MAX_FORMULA_NESTING`` levels end in one
+    positioned diagnostic, not in the interpreter's recursion limit."""
+
+    VOCAB = Vocabulary(["p"], ["a"])
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("!" * 2000 + "top", MAX_FORMULA_NESTING + 1),
+            ("(" * 2000 + "top" + ")" * 2000, MAX_FORMULA_NESTING + 1),
+            ("K[a] " * 300 + "p", 5 * MAX_FORMULA_NESTING + 1),
+            ("!(" * 150 + "p" + ")" * 150, MAX_FORMULA_NESTING + 1),
+        ],
+        ids=["negations", "parentheses", "knows", "mixed"],
+    )
+    def test_too_deep_is_one_positioned_diagnostic(self, text, col):
+        with pytest.raises(TaskParseError) as exc:
+            parse_formula(text, self.VOCAB)
+        [diagnostic] = exc.value.diagnostics
+        assert (diagnostic.line, diagnostic.column) == (1, col)
+        assert f"more than {MAX_FORMULA_NESTING} levels" in diagnostic.message
+
+    def test_limit_itself_parses(self):
+        depth = MAX_FORMULA_NESTING
+        assert parse_formula("!" * depth + "p", self.VOCAB) is not None
+        assert parse_formula("(" * depth + "p" + ")" * depth, self.VOCAB) is not None
+        assert parse_formula("C " * depth + "p", self.VOCAB) is not None
+
+    def test_document_goal_reports_position(self):
+        text = MINIMAL.replace("goal { p }", "goal {\n  " + "!" * 1000 + "p }")
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(text)
+        [diagnostic] = exc.value.diagnostics
+        line = text.splitlines().index("goal {") + 2
+        assert (diagnostic.line, diagnostic.column) == (line, 3 + MAX_FORMULA_NESTING)
 
 
 class TestRoundTrip:

@@ -23,6 +23,9 @@ from eplan import (
     local_state,
     product_update,
 )
+import reference_update as reference
+from conftest import gen_task
+from eplan.actions import applicable_actions
 from reference_update import bisimilar
 
 
@@ -361,3 +364,90 @@ class TestCanonicalKey:
         for i, s in enumerate(states):
             for j, t in enumerate(states):
                 assert (keys[i] == keys[j]) == bisimilar(s, t)
+
+
+def _unmarked_copy(state):
+    """The same state over a fresh model: no minimal or contracted mark."""
+    m = state.model
+    return EpistemicState(
+        EpistemicModel(m.vocab, m.world_names, m.labels, m.edges), state.designated
+    )
+
+
+def _walk_states(rng, tasks):
+    """Initial states, successors and contracted successors, two steps deep,
+    of fixed-seed generated tasks with up to three agents."""
+    for _ in range(tasks):
+        task = gen_task(rng, max_agents=3, max_worlds=4)
+        frontier = [task.initial]
+        for _ in range(2):
+            nxt = []
+            for state in frontier:
+                yield state
+                for action in applicable_actions(state, task.actions):
+                    succ = product_update(state, action)
+                    yield succ
+                    nxt.append(bisim_contract(succ))
+            frontier = nxt
+        yield from frontier
+
+
+class TestContractedMark:
+    def test_marked_states_are_contracted(self):
+        # Every state contraction returns is marked; a marked state comes
+        # back as itself, has every world reachable, and refining an
+        # unmarked copy merges nothing.
+        rng = random.Random(79)
+        marked = unmarked = 0
+        for state in _walk_states(rng, 300):
+            if state._contracted:
+                marked += 1
+            else:
+                unmarked += 1
+                c = bisim_contract(state)
+                assert c._contracted
+                oracle = reference.bisim_contract(_unmarked_copy(state))
+                assert c == oracle and c.model.world_names == oracle.model.world_names
+                state = c
+            assert bisim_contract(state) is state
+            assert state.model.reachable_from(state.designated) == frozenset(range(state.model.n))
+            assert reference.bisim_contract(_unmarked_copy(state)).model.n == state.model.n
+        assert marked > 500 and unmarked > 500
+
+    def test_unreachable_or_mergeable_worlds_are_never_marked(self):
+        vocab = Vocabulary(["p"], ["a"])
+        p = vocab.atom("p")
+        agent = vocab.agent("a")
+        unreachable = EpistemicState(EpistemicModel(vocab, ["w0", "w1"], [{p}, set()], {}), {0})
+        twins = EpistemicState(
+            EpistemicModel(vocab, ["w0", "w1"], [{p}, {p}], {agent: [(0, 1), (1, 0)]}), {0}
+        )
+        for state in (unreachable, twins):
+            c = bisim_contract(state)
+            assert c is not state and c.model.n == 1
+            assert c._contracted and not state._contracted
+            assert bisim_contract(state) is not state
+
+    def test_contracting_a_copy_of_a_marked_state_gives_an_equal_state(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            state = bisim_contract(gen_state(rng, gen_vocab(rng, max_agents=3)))
+            again = bisim_contract(EpistemicState(state.model, state.designated))
+            assert again == state and again.model.world_names == state.model.world_names
+
+
+class TestReachability:
+    """The multi-source search against the per-world searches it replaced
+    (``tests/reference_update.py``)."""
+
+    def test_matches_reference(self):
+        rng = random.Random(89)
+        for state in _walk_states(rng, 200):
+            model = state.model
+            starts = sorted(state.designated)
+            assert model.reachable_from(starts) == reference.reachable_from(model, starts)
+            for w in range(model.n):
+                assert model.union_reach(w) == reference.union_reach(model, w)
+            for agent in model.vocab.agents:
+                ours, theirs = local_state(state, agent), reference.local_state(state, agent)
+                assert ours == theirs and not ours._contracted

@@ -1,10 +1,15 @@
 """Epistemic tasks, localization, sequential and policy planning."""
 
+import hashlib
+import inspect
 import random
 
 import pytest
 
+import eplan.actions as actions_module
 import eplan.planner as planner
+import reference_policy
+import reference_update
 from conftest import TASK_FILES, TWO_OFFICE_PLAN, gen_task, load_doc
 from eplan import (
     EpistemicState,
@@ -19,6 +24,7 @@ from eplan import (
     SequentialPlan,
     applicable,
     bisim_contract,
+    canonical_key,
     enumerate_executions,
     eval_state,
     execute,
@@ -32,6 +38,7 @@ from eplan import (
     validate_plan,
     validate_policy,
 )
+from eplan.actions import applicable_actions
 from reference_policy import solve_policy as reference_solve_policy
 from reference_update import bisimilar
 
@@ -199,6 +206,33 @@ class TestSolvePolicy:
         report = validate_policy(po2_ask, policy)
         assert report.ok
         assert report.execution_lengths == (5,)
+
+    def test_search_counts(self, monkeypatch):
+        # One applicability test per taken edge plus the few the required
+        # atoms cannot rule out (8,274 when every action was tested at
+        # every node), and owner views built with no global or local
+        # state objects (1,354 and 3,367 before).
+        task = parse_task(offices_document(5)).task
+        calls = {"applicable": 0, "local_state": 0, "globals_of": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+            return wrapper
+
+        # The node filter calls ``applicable`` through the actions module;
+        # the planner's own binding is counted too.
+        monkeypatch.setattr(planner, "applicable", counted(actions_module, "applicable"))
+        counted(planner, "local_state")
+        counted(planner, "globals_of")
+        policy = solve_policy(task, 13)
+        assert policy is not None and len(policy) == 16
+        assert calls == {"applicable": 1358, "local_state": 0, "globals_of": 0}
 
     def test_owner_required(self, po2):
         task = global_task(po2, 1)
@@ -628,6 +662,87 @@ class TestSolvePolicyOracle:
             task = gen_task(rng)
             solved += self.assert_same(localize(task, task.vocab.agents[0]), range(5))
         assert solved > 500  # about half of the 1,500 (task, cap) pairs
+
+
+def _views(classes):
+    """Observation classes with everything a view carries."""
+    return [(key, view, view.model.world_names) for key, view in classes]
+
+
+class TestOwnerClassesOracle:
+    """Owner closures as world sets, and the contracted successor as its
+    own view, against the per-global split they replaced
+    (``reference_policy._owner_classes``)."""
+
+    def test_reference_copies_are_pinned(self):
+        # The references are the code they replaced, copied verbatim (the
+        # reachability searches as functions of the model): edit them only
+        # together with this pin.
+        source = "".join(
+            inspect.getsource(fn)
+            for fn in (
+                reference_policy._owner_classes,
+                reference_update.local_state,
+                reference_update.union_reach,
+                reference_update.reachable_from,
+            )
+        )
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        assert digest == "b31be48535031290"
+
+    def assert_same(self, make, owners):
+        """``make()`` builds a fresh successor, so the library and the
+        reference each contract their own; returns (views that are the
+        successor itself, successors split into several classes)."""
+        reused = split = 0
+        for contract in (False, True):
+            ours, theirs = make(), make()
+            if contract:
+                ours, theirs = bisim_contract(ours), reference_update.bisim_contract(theirs)
+            assert canonical_key(ours) == reference_update.canonical_key(theirs)
+            for owner in owners:
+                classes = planner._owner_classes(ours, owner)
+                assert _views(classes) == _views(reference_policy._owner_classes(theirs, owner))
+                reused += any(view is ours for _, view in classes)
+                split += len(classes) > 1
+        return reused, split
+
+    def test_generated_successors(self):
+        rng = random.Random(97)
+        reused = split = 0
+        for _ in range(500):
+            task = gen_task(rng, max_agents=3, max_worlds=4)
+            owners = task.vocab.agents
+            for action in applicable_actions(task.initial, task.actions):
+                first = bisim_contract(product_update(task.initial, action))
+                counts = self.assert_same(lambda: product_update(task.initial, action), owners)
+                reused, split = reused + counts[0], split + counts[1]
+                for then in applicable_actions(first, task.actions):
+                    counts = self.assert_same(lambda: product_update(first, then), owners)
+                    reused, split = reused + counts[0], split + counts[1]
+        assert reused > 500 and split > 500
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_offices_search_graph(self, n):
+        # Every successor the policy search makes, to the N-office cap.
+        task = parse_task(offices_document(n)).task
+        owner = task.owner
+        seen = {key for key, _ in planner._owner_classes(task.initial, owner)}
+        level = [view for _, view in planner._owner_classes(task.initial, owner)]
+        successors = 0
+        for _ in range(2 * n + 3):
+            nxt = []
+            for state in level:
+                for action in applicable_actions(state, task.actions):
+                    self.assert_same(lambda: product_update(state, action), task.vocab.agents)
+                    successors += 1
+                    succ = bisim_contract(product_update(state, action))
+                    for key, view in planner._owner_classes(succ, owner):
+                        if key not in seen:
+                            seen.add(key)
+                            nxt.append(view)
+            level = nxt
+        assert successors > 10 * n
 
 
 def exhaustive_min_solution(task, cap):
