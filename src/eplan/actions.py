@@ -17,6 +17,7 @@ from .errors import (
     ConsistencyError,
     ModelError,
     NotApplicableError,
+    VocabularyError,
     VocabularyMismatchError,
 )
 from .logic import (
@@ -99,7 +100,7 @@ class EpistemicAction:
     designated event."""
 
     __slots__ = (
-        "name", "vocab", "events", "designated", "edges", "_guards", "_pre", "_out", "_must",
+        "name", "vocab", "events", "designated", "edges", "_pre", "_out", "_must",
     )
 
     def __init__(
@@ -155,7 +156,6 @@ class EpistemicAction:
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "designated", des)
         object.__setattr__(self, "edges", tuple(kept))
-        object.__setattr__(self, "_guards", None)
         object.__setattr__(self, "_pre", tuple(pres))
         object.__setattr__(self, "_out", out)
         designated_pres = [pres[e] for e in des]
@@ -178,45 +178,39 @@ class EpistemicAction:
 
     def guards(self, agent: Agent) -> dict[tuple[int, int], Formula]:
         """Explicit guarded edges of one agent, as (source, target) -> guard."""
-        table = self._guards
-        if table is None:
-            table = {a: {} for a in self.vocab.agents}
-            for g in self.edges:
-                table[g.agent][(g.source, g.target)] = g.condition
-            object.__setattr__(self, "_guards", table)
-        return table[agent]
-
-    def event_successors(self, agent: Agent, e: int, top_only: bool = False) -> tuple[int, ...]:
-        """Sorted event successors including the implicit reflexive one."""
-        out = {e}
-        for (src, tgt), guard in self.guards(agent).items():
-            if src == e and (not top_only or isinstance(guard, Top)):
-                out.add(tgt)
-        return tuple(sorted(out))
+        self._check_agent(agent)
+        return {(g.source, g.target): g.condition for g in self.edges if g.agent == agent}
 
     def is_local_for(self, agent: Agent) -> bool:
-        """Designated events closed under the agent's top-guarded edges.
+        """True iff the designated events are closed under the agent's
+        top-guarded edges."""
+        return self._top_closure(agent) == self.designated
+
+    def _top_closure(self, agent: Agent) -> set[int]:
+        """The designated events closed under the agent's top-guarded edges.
 
         Guards with non-top conditions depend on worlds and cannot be
         decided at the action level; they are ignored here (and flagged)."""
-        self._warn_mixed(agent)
-        return all(
-            f in self.designated
-            for e in self.designated
-            for f in self.event_successors(agent, e, top_only=True)
-        )
-
-    def _warn_mixed(self, agent: Agent) -> None:
-        if any(
-            not isinstance(guard, Top)
-            for (src, _), guard in self.guards(agent).items()
-            if src in self.designated
-        ):
+        self._check_agent(agent)
+        out = self._out[agent.index]
+        if any(guard is not None for e in self.designated for _, guard in out[e]):
             log.debug(
                 "action %s: event closure for %s ignores non-trivial guards",
                 self.name,
                 agent.name,
             )
+        closed = set(self.designated)
+        frontier = list(closed)
+        while frontier:
+            for f, guard in out[frontier.pop()]:
+                if guard is None and f not in closed:
+                    closed.add(f)
+                    frontier.append(f)
+        return closed
+
+    def _check_agent(self, agent: Agent) -> None:
+        if agent not in self.vocab.agents:
+            raise VocabularyError(f"agent {agent.name} not in vocabulary")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpistemicAction):
@@ -362,15 +356,7 @@ def local_action(action: EpistemicAction, agent: Agent) -> EpistemicAction:
     """The agent's perspective on an action: designated events closed under
     the agent's top-guarded edges (conditional edges cannot contribute to a
     world-independent closure and are flagged in debug logging)."""
-    action._warn_mixed(agent)
-    closed = set(action.designated)
-    frontier = list(closed)
-    while frontier:
-        e = frontier.pop()
-        for f in action.event_successors(agent, e, top_only=True):
-            if f not in closed:
-                closed.add(f)
-                frontier.append(f)
+    closed = action._top_closure(agent)
     if closed == action.designated:
         return action
     return EpistemicAction(action.name, action.vocab, action.events, closed, action.edges)

@@ -46,9 +46,13 @@ JSON_VERSION = 1
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("EPLAN_LOG", "").upper()
-    if level:
-        logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
+    name = os.environ.get("EPLAN_LOG", "").upper()
+    if name:
+        # Only registered level names count; anything else means WARNING.
+        level = logging.getLevelName(name)
+        logging.basicConfig(
+            level=level if isinstance(level, int) else logging.WARNING, stream=sys.stderr
+        )
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -132,8 +136,10 @@ def _load(args) -> ParsedDocument:
 
 def _emit(args, text: str | None, payload: dict | None) -> None:
     """Write ``payload`` as JSON or ``text`` as text, as ``--format`` asks;
-    the other one is not read."""
+    the other one is not read. Every JSON payload starts with the same
+    header: the format version and the subcommand."""
     if args.format == "json":
+        payload = {"eplan": JSON_VERSION, "command": args.command, **payload}
         out = json.dumps(payload, ensure_ascii=False) + "\n"
     else:
         out = text if text.endswith("\n") else text + "\n"
@@ -179,16 +185,7 @@ def cmd_check(args) -> int:
     task = parsed.task
     phi = parse_formula(args.formula, task.vocab)
     value = eval_state(task.initial, phi)
-    _emit(
-        args,
-        "true" if value else "false",
-        {
-            "eplan": JSON_VERSION,
-            "command": "check",
-            "formula": render_formula(phi),
-            "value": value,
-        },
-    )
+    _emit(args, "true" if value else "false", {"formula": render_formula(phi), "value": value})
     return 0 if value else 3
 
 
@@ -224,8 +221,6 @@ def cmd_apply(args) -> int:
     # costs about half as much as the eight updates that made it.
     if args.format == "json":
         payload = {
-            "eplan": JSON_VERSION,
-            "command": "apply",
             "actions": list(args.actions),
             "contracted": bool(args.contract),
             "state": _state_payload(state),
@@ -245,8 +240,7 @@ def cmd_contract(args) -> int:
     parsed = _load(args)
     state = bisim_contract(parsed.task.initial)
     if args.format == "json":
-        payload = {"eplan": JSON_VERSION, "command": "contract", "state": _state_payload(state)}
-        _emit(args, None, payload)
+        _emit(args, None, {"state": _state_payload(state)})
     else:
         _emit(args, render_state(state), None)
     return 0
@@ -266,13 +260,7 @@ def _solve_seq(args, task: EpistemicTask) -> int:
         _emit(
             args,
             f"no solution within depth {args.max_depth}",
-            {
-                "eplan": JSON_VERSION,
-                "command": "solve",
-                "mode": "seq",
-                "max_depth": args.max_depth,
-                "found": False,
-            },
+            {"mode": "seq", "max_depth": args.max_depth, "found": False},
         )
         return 1
     report = validate_plan(task, plan)
@@ -283,8 +271,6 @@ def _solve_seq(args, task: EpistemicTask) -> int:
         args,
         "\n".join(plan.steps),
         {
-            "eplan": JSON_VERSION,
-            "command": "solve",
             "mode": "seq",
             "max_depth": args.max_depth,
             "found": True,
@@ -340,13 +326,7 @@ def _solve_policy(args, task: EpistemicTask) -> int:
         _emit(
             args,
             f"no strong policy within depth {args.max_depth}",
-            {
-                "eplan": JSON_VERSION,
-                "command": "solve",
-                "mode": "policy",
-                "max_depth": args.max_depth,
-                "found": False,
-            },
+            {"mode": "policy", "max_depth": args.max_depth, "found": False},
         )
         return 1
     report = validate_policy(task, policy)
@@ -364,8 +344,6 @@ def _solve_policy(args, task: EpistemicTask) -> int:
     lines.extend(_policy_tree(policy))
     lines.append(f"executions: count={len(report.executions)} lengths={{{lengths}}}")
     payload = {
-        "eplan": JSON_VERSION,
-        "command": "solve",
         "mode": "policy",
         "max_depth": args.max_depth,
         "found": True,
@@ -407,8 +385,6 @@ def cmd_validate(args) -> int:
             args,
             report.message,
             {
-                "eplan": JSON_VERSION,
-                "command": "validate",
                 "kind": "plan",
                 "ok": report.ok,
                 "message": report.message,
@@ -424,8 +400,6 @@ def cmd_validate(args) -> int:
         args,
         "\n".join(lines),
         {
-            "eplan": JSON_VERSION,
-            "command": "validate",
             "kind": "policy",
             "ok": report.ok,
             "violations": [str(v) for v in report.violations],
@@ -458,8 +432,6 @@ def cmd_execute(args) -> int:
         lines.append(f"{i + 1}: {name} -> {render_state_line(result.states[i + 1])}")
     lines.append(f"outcome: {result.outcome}" + (f" ({result.reason})" if result.reason else ""))
     payload = {
-        "eplan": JSON_VERSION,
-        "command": "execute",
         "seed": args.seed,
         "trace": {
             "states": [render_state_line(s) for s in result.states],
@@ -489,7 +461,7 @@ def cmd_dot(args) -> int:
     else:
         value = parsed.task.initial
     text = export_dot(value)
-    _emit(args, text, {"eplan": JSON_VERSION, "command": "dot", "dot": text})
+    _emit(args, text, {"dot": text})
     return 0
 
 

@@ -190,68 +190,45 @@ def desugar(phi: Formula) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def _nodes(phi: Formula) -> Iterator[Formula]:
+    """Every node of ``phi`` in reading order (pre-order, left to right),
+    walked without recursion."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Not, Knows, Common)):
+            stack.append(node.sub)
+        elif not isinstance(node, (Top, Bottom, Prop)):
+            raise TypeError(f"not a formula: {node!r}")
+
+
 def atoms_of(phi: Formula) -> frozenset[Atom]:
     """The atoms syntactically occurring in ``phi``."""
-    out: set[Atom] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prop):
-            out.add(node.atom)
-        elif isinstance(node, Not):
-            stack.append(node.sub)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Knows, Common)):
-            stack.append(node.sub)
-        elif not isinstance(node, (Top, Bottom)):
-            raise TypeError(f"not a formula: {node!r}")
-    return frozenset(out)
-
-
-def agents_of(phi: Formula) -> frozenset[Agent]:
-    """The agents syntactically occurring in ``phi``."""
-    out: set[Agent] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.sub)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Knows):
-            out.add(node.agent)
-            stack.append(node.sub)
-        elif isinstance(node, Common):
-            stack.append(node.sub)
-    return frozenset(out)
+    return frozenset(node.atom for node in _nodes(phi) if isinstance(node, Prop))
 
 
 def is_propositional(phi: Formula) -> bool:
     """True when ``phi`` contains no knowledge modality."""
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Knows, Common)):
-            return False
-        if isinstance(node, Not):
-            stack.append(node.sub)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return True
+    return not any(isinstance(node, (Knows, Common)) for node in _nodes(phi))
 
 
 def validate_over(vocab: Vocabulary, phi: Formula) -> None:
-    """Check every atom and agent in ``phi`` is the vocabulary's own entry."""
-    for atom in atoms_of(phi):
-        if atom.index >= len(vocab.atoms) or vocab.atoms[atom.index] != atom:
-            raise VocabularyError(f"atom {atom.name} not in vocabulary")
-    for agent in agents_of(phi):
-        if agent.index >= len(vocab.agents) or vocab.agents[agent.index] != agent:
-            raise VocabularyError(f"agent {agent.name} not in vocabulary")
+    """Check every atom and agent in ``phi`` is the vocabulary's own entry;
+    the first foreign one in reading order is named."""
+    atoms, agents = vocab.atoms, vocab.agents
+    for node in _nodes(phi):
+        if isinstance(node, Prop):
+            atom = node.atom
+            if atom.index >= len(atoms) or atoms[atom.index] != atom:
+                raise VocabularyError(f"atom {atom.name} not in vocabulary")
+        elif isinstance(node, Knows):
+            agent = node.agent
+            if agent.index >= len(agents) or agents[agent.index] != agent:
+                raise VocabularyError(f"agent {agent.name} not in vocabulary")
 
 
 # Rendering uses the concrete syntax also accepted by the DSL parser:
@@ -348,15 +325,6 @@ class LiteralConjunction:
     def apply_to(self, valuation: frozenset[Atom]) -> frozenset[Atom]:
         """Delete negatives, then add positives."""
         return (valuation - self.negatives) | self.positives
-
-    def literals(self) -> Iterator[tuple[Atom, bool]]:
-        for a in sorted(self.positives, key=lambda a: a.index):
-            yield a, True
-        for a in sorted(self.negatives, key=lambda a: a.index):
-            yield a, False
-
-
-EMPTY_CONJUNCTION = LiteralConjunction()
 
 
 # --------------------------------------------------------------------------

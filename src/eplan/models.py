@@ -240,12 +240,7 @@ def local_state(state: EpistemicState, agent: Agent) -> EpistemicState:
 
 def is_local_for(state: EpistemicState, agent: Agent) -> bool:
     """True iff every agent-successor of a designated world is designated."""
-    model = state.model
-    return all(
-        v in state.designated
-        for w in state.designated
-        for v in model.successors(agent, w)
-    )
+    return state.model.closure(state.designated, (agent,)) == state.designated
 
 
 def from_belief_state(vocab: Vocabulary, belief: BeliefState) -> EpistemicState:

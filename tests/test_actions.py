@@ -1,11 +1,20 @@
 """Action models, applicability, product update, and the Ask family."""
 
+import logging
 import random
 
 import pytest
 
 import reference_update as reference
-from conftest import gen_action, gen_equivalence_state, gen_state, gen_task, gen_vocab
+from conftest import (
+    TASK_FILES,
+    gen_action,
+    gen_equivalence_state,
+    gen_state,
+    gen_task,
+    gen_vocab,
+    load_doc,
+)
 from eplan import (
     And,
     EdgeGuard,
@@ -22,6 +31,7 @@ from eplan import (
     Prop,
     TOP,
     Vocabulary,
+    VocabularyError,
     VocabularyMismatchError,
     applicable,
     bisim_contract,
@@ -255,6 +265,40 @@ class TestLocalAction:
         action = EpistemicAction("m", vocab, events, {0}, [EdgeGuard(a, 0, 1)])
         assert local_action(action, a).designated == {0, 1}
         assert local_action(action, vocab.agent("b")).designated == {0}
+
+    def test_closure_ignores_guarded_edges(self, caplog):
+        vocab = Vocabulary(["p"], ["a", "b"])
+        a, b = vocab.agents
+        events = [Event(n, TOP, LiteralConjunction()) for n in ("x", "y", "z", "g")]
+        edges = [
+            EdgeGuard(a, 0, 1),
+            EdgeGuard(a, 1, 2),
+            EdgeGuard(a, 0, 3, Prop(vocab.atom("p"))),
+        ]
+        action = EpistemicAction("m", vocab, events, {0}, edges)
+        with caplog.at_level(logging.DEBUG, logger="eplan.actions"):
+            assert local_action(action, a).designated == {0, 1, 2}
+            assert action.is_local_for(a) == (local_action(action, a) is action)
+        assert "event closure for a ignores non-trivial guards" in caplog.text
+        assert action.is_local_for(b) and local_action(action, b) is action
+        stranger = Vocabulary([], ["z"]).agents[0]  # same index as a, other name
+        for call in (action.is_local_for, action.guards, lambda x: local_action(action, x)):
+            with pytest.raises(VocabularyError):
+                call(stranger)
+
+    def test_is_local_for_agrees_with_local_action(self):
+        actions = [a for name in TASK_FILES for a in load_doc(name).task.actions]
+        rng = random.Random(17)
+        for index in range(200):
+            vocab = gen_vocab(rng)
+            actions.append(gen_action(rng, vocab, index, max_events=3))
+        seen = set()
+        for action in actions:
+            for agent in action.vocab.agents:
+                local = action.is_local_for(agent)
+                assert local == (local_action(action, agent) is action)
+                seen.add(local)
+        assert seen == {True, False}
 
 
 class TestInducedAction:

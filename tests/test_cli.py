@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, TASKS_DIR
+from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR
 from eplan import Policy, parse_task, product_update
 from eplan.cli import main
 from eplan.dsl import export_dot
@@ -309,6 +312,37 @@ class TestDot:
         assert target.read_text().splitlines()[0] == "Go(Father,Home,PostOffice1)"
 
 
+class TestJsonHeader:
+    @pytest.fixture
+    def policy_file(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8",
+            "--format", "json", "--output", str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", PO2, "top"],
+            ["apply", PO2, "--actions", "Go(Father,Home,PostOffice1)"],
+            ["contract", PO2],
+            ["solve", PO2, "--mode", "seq", "--max-depth", "8"],
+            ["solve", PO2, "--mode", "policy", "--max-depth", "8"],
+            ["validate", PO2, "--policy", "POLICY"],
+            ["execute", PO2, "--policy", "POLICY", "--start", "w2"],
+            ["dot", PO2],
+        ],
+        ids=["check", "apply", "contract", "solve-seq", "solve-policy", "validate", "execute", "dot"],
+    )
+    def test_every_payload_starts_with_the_header(self, capsys, policy_file, argv):
+        argv = [policy_file if arg == "POLICY" else arg for arg in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[:2] == ["eplan", "command"]
+        assert payload["eplan"] == 1 and payload["command"] == argv[0]
+
+
 class TestErrors:
     def test_parse_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.eplan"
@@ -330,3 +364,15 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_log_level_is_not_a_traceback(self):
+        env = dict(os.environ, EPLAN_LOG="basic_format")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "eplan", "check", PO2, "top"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0 and proc.stdout == "true\n"
+        assert "Traceback" not in proc.stderr

@@ -1,10 +1,14 @@
 """The epistemic language and its truth definition."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from conftest import gen_formula, gen_state, gen_vocab
+from conftest import SRC_DIR, gen_formula, gen_state, gen_vocab
 from eplan import (
     And,
     BOTTOM,
@@ -28,6 +32,7 @@ from eplan import (
     render_formula,
 )
 from eplan.dsl import parse_formula
+from eplan.logic import validate_over
 
 
 @pytest.fixture
@@ -160,6 +165,39 @@ class TestAtomsOf:
         )
         # Oracle: walk the tree by hand.
         assert atoms_of(goal) == {home, has, wrapped}
+
+
+class TestValidateOver:
+    def test_names_first_foreign_name_in_reading_order(self):
+        vocab = Vocabulary(["p"], ["a"])
+        other = Vocabulary(["q", "r"], ["b", "c"])
+        q, r = (Prop(x) for x in other.atoms)
+        with pytest.raises(VocabularyError, match="agent b not in vocabulary"):
+            validate_over(vocab, And(Knows(other.agent("b"), q), r))
+        with pytest.raises(VocabularyError, match="atom q not in vocabulary"):
+            validate_over(vocab, And(q, Knows(other.agent("b"), r)))
+
+    def test_error_is_independent_of_hash_seed(self):
+        script = textwrap.dedent(
+            """
+            from eplan import And, Prop, Vocabulary, VocabularyError
+            from eplan.logic import validate_over
+            q, r, s = (Prop(a) for a in Vocabulary(["q", "r", "s"], []).atoms)
+            try:
+                validate_over(Vocabulary(["p"], []), And(And(q, r), s))
+            except VocabularyError as exc:
+                print(exc)
+            """
+        )
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.stdout == "atom q not in vocabulary\n", (seed, proc.stderr)
 
 
 class TestFormulaBasics:
