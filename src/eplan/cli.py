@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .actions import applicable, product_update
+from .actions import product_update
 from .dsl import (
     ParsedDocument,
     export_dot,
@@ -28,7 +28,7 @@ from .dsl import (
     render_state,
     render_state_line,
 )
-from .errors import EplanError, TaskParseError
+from .errors import EplanError, NotApplicableError, TaskParseError
 from .logic import eval_state, render_formula
 from .models import EpistemicState, bisim_contract, globals_of
 from .planner import (
@@ -189,28 +189,18 @@ def cmd_check(args) -> int:
     return 0 if value else 3
 
 
-def _fold_actions(task: EpistemicTask, names: list[str]) -> EpistemicState:
-    state = task.initial
-    for name in names:
-        action = task.action_named(name)
-        if not applicable(state, action):
-            raise _Failure(f"action {name} is not applicable at this point")
-        state = product_update(state, action)
-    return state
-
-
-class _Failure(Exception):
-    """Semantic failure mapped to exit code 3."""
-
-
 def cmd_apply(args) -> int:
     parsed = _load(args)
     task = parsed.task
-    try:
-        state = _fold_actions(task, args.actions)
-    except _Failure as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 3
+    state = task.initial
+    for name in args.actions:
+        action = task.action_named(name)
+        try:
+            state = product_update(state, action)
+        except NotApplicableError:
+            print(f"not applicable: action {name} is not applicable at this point",
+                  file=sys.stderr)
+            return 3
     if args.contract:
         state = bisim_contract(state)
     check = None
@@ -297,23 +287,23 @@ def _policy_rows(policy: Policy) -> list[dict]:
 
 
 def _policy_tree(policy: Policy) -> list[str]:
+    """The policy graph unfolded as a tree, depth-first, without recursion."""
     lines = ["tree:"]
-
-    def walk(key: bytes, indent: int, path: frozenset) -> None:
+    # (key, indent, keys of its ancestors); children are pushed reversed
+    # so they pop in order.
+    stack = [(key, 1, frozenset()) for key in reversed(policy.roots)]
+    while stack:
+        key, indent, path = stack.pop()
         pad = "  " * indent
         action = policy.entries.get(key)
         if action is None:
             lines.append(f"{pad}[{_digest(key)}] (goal)")
-            return
-        if key in path:  # cannot happen for validated policies
+        elif key in path:  # cannot happen for validated policies
             lines.append(f"{pad}[{_digest(key)}] (cycle)")
-            return
-        lines.append(f"{pad}[{_digest(key)}] {action}")
-        for child_key in policy.children[key]:
-            walk(child_key, indent + 1, path | {key})
-
-    for key in policy.roots:
-        walk(key, 1, frozenset())
+        else:
+            lines.append(f"{pad}[{_digest(key)}] {action}")
+            inner = path | {key}
+            stack.extend((child, indent + 1, inner) for child in reversed(policy.children[key]))
     return lines
 
 

@@ -23,7 +23,7 @@ from .actions import (
     product_update,
 )
 from .classical import breadth_first
-from .errors import ModelError, VocabularyMismatchError
+from .errors import ModelError, NotApplicableError, VocabularyMismatchError
 from .logic import Agent, Formula, Vocabulary, eval_state, validate_over
 from .models import (
     EpistemicState,
@@ -177,14 +177,15 @@ def validate_plan(task: EpistemicTask, plan: SequentialPlan | Sequence[str]) -> 
     state = bisim_contract(task.initial)
     for i, name in enumerate(steps):
         action = task.action_named(name)
-        if not applicable(state, action):
+        try:
+            state = bisim_contract(product_update(state, action))
+        except NotApplicableError:
             return PlanReport(
                 ok=False,
                 message=f"step {i + 1} ({name}) is not applicable",
                 failed_step=i,
                 final_state=state,
             )
-        state = bisim_contract(product_update(state, action))
     if eval_state(state, task.goal):
         return PlanReport(ok=True, message=f"valid: {len(steps)} steps reach the goal",
                           final_state=state)
@@ -411,9 +412,73 @@ def _step(
     action ``name`` in ``state``, or None when it is not applicable.
     Unknown action names raise."""
     action = task.action_named(name)
-    if not applicable(state, action):
+    try:
+        update = product_update(state, action)
+    except NotApplicableError:
         return None
-    return [bisim_contract(g) for g in globals_of(product_update(state, action))]
+    return [bisim_contract(g) for g in globals_of(update)]
+
+
+class _Graph:
+    """The step table that one policy check walks, keyed by the canonical
+    key of a contracted global state: the state, the policy's action there
+    (asked once) and its successor keys (stepped at most once, when a walk
+    first needs them). Successors keep world order and repeats, since each
+    one is a separate execution; None means the action is not applicable."""
+
+    def __init__(self, task: EpistemicTask, policy):
+        self.task = task
+        self.policy = policy
+        self.states: dict[bytes, EpistemicState] = {}
+        self.actions: dict[bytes, str | None] = {}
+        self.successors: dict[bytes, tuple[bytes, ...] | None] = {}
+
+    def add(self, state: EpistemicState) -> bytes:
+        key = canonical_key(state)
+        if key not in self.states:
+            self.states[key] = state
+            self.actions[key] = self.policy.action_for(state)
+        return key
+
+    def step(self, key: bytes) -> tuple[bytes, ...] | None:
+        if key not in self.successors:
+            succ = _step(self.task, self.states[key], self.actions[key])
+            self.successors[key] = None if succ is None else tuple(map(self.add, succ))
+        return self.successors[key]
+
+    def executions(self, first: bytes, max_steps: int | None) -> list[Execution]:
+        """All executions from ``first``, depth-first with branches in
+        world order, without recursion. A state whose key is already on
+        the current path is a cycle cutoff; ``max_steps=None`` sets no
+        step bound."""
+        out: list[Execution] = []
+        path: dict[bytes, None] = {}  # the current state's ancestors, in order
+        branches = [iter((first,))]  # per open state: successor keys left
+        while branches:
+            key = next(branches[-1], None)
+            if key is None:
+                branches.pop()
+                if path:
+                    path.popitem()
+                continue
+            name = self.actions[key]
+            if name is None:
+                goal = eval_state(self.states[key], self.task.goal)
+                outcome, reason = ("success", None) if goal else ("failure", "policy undefined")
+            elif key in path:
+                outcome, reason = "cutoff", "cycle"
+            elif max_steps is not None and len(path) >= max_steps:
+                outcome, reason = "cutoff", "step bound"
+            elif (succ := self.step(key)) is None:
+                outcome, reason = "failure", f"{name} not applicable"
+            else:
+                path[key] = None
+                branches.append(iter(succ))
+                continue
+            states = tuple(self.states[k] for k in path) + (self.states[key],)
+            actions = tuple(self.actions[k] for k in path)
+            out.append(Execution(states, actions, outcome, reason))
+        return out
 
 
 def execute(
@@ -468,48 +533,8 @@ def enumerate_executions(
     current path is reported as a cutoff (the policy loops)."""
     if not start.is_global:
         raise ModelError("execution starts from a global state")
-    out: list[Execution] = []
-
-    def walk(state: EpistemicState, trace_states, trace_actions, path_keys):
-        name = policy.action_for(state)
-        if name is None:
-            outcome = "success" if eval_state(state, task.goal) else "failure"
-            reason = None if outcome == "success" else "policy undefined"
-            out.append(Execution(tuple(trace_states), tuple(trace_actions), outcome, reason))
-            return
-        key = canonical_key(state)
-        if key in path_keys:
-            out.append(
-                Execution(tuple(trace_states), tuple(trace_actions), "cutoff", "cycle")
-            )
-            return
-        if len(trace_actions) >= max_steps:
-            out.append(
-                Execution(tuple(trace_states), tuple(trace_actions), "cutoff", "step bound")
-            )
-            return
-        successors = _step(task, state, name)
-        if successors is None:
-            out.append(
-                Execution(
-                    tuple(trace_states),
-                    tuple(trace_actions),
-                    "failure",
-                    f"{name} not applicable",
-                )
-            )
-            return
-        for succ in successors:
-            walk(
-                succ,
-                trace_states + [succ],
-                trace_actions + [name],
-                path_keys | {key},
-            )
-
-    first = bisim_contract(start)
-    walk(first, [first], [], frozenset())
-    return out
+    graph = _Graph(task, policy)
+    return graph.executions(graph.add(bisim_contract(start)), max_steps)
 
 
 # --------------------------------------------------------------------------
@@ -558,82 +583,50 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
     goal); (d) every execution, enumerated exhaustively, succeeds, and the
     reachable policy graph is acyclic. The policy only needs ``owner`` and
     ``action_for``; violations carry a witness trace. Unknown action names
-    raise."""
+    raise. One step table serves every walk, so each reachable global
+    state is keyed, looked up and stepped once."""
     owner = policy.owner
     violations: list[Violation] = []
-    executions: list[Execution] = []
 
+    def violate(kind: str, message: str, trace: tuple[str, ...] = ()) -> None:
+        violations.append(Violation(kind, message, trace))
+
+    graph = _Graph(task, policy)
+    initial = [graph.add(bisim_contract(g)) for g in globals_of(task.initial)]
+    for key in initial:
+        if graph.actions[key] is None and not eval_state(graph.states[key], task.goal):
+            violate("coverage", "initial global state is neither covered nor a goal state")
+
+    # Walk the reachable policy graph breadth-first, checking (a)/(b) once
+    # per state key; a view-inapplicable state is not stepped.
     by_view: dict[bytes, str] = {}
-
-    def check_state(state: EpistemicState, trace: tuple[str, ...]) -> str | None:
-        name = policy.action_for(state)
-        if name is None:
-            return None
-        view = bisim_contract(local_state(state, owner))
+    frontier: deque[tuple[bytes, tuple[str, ...]]] = deque((key, ()) for key in initial)
+    walked: set[bytes] = set()
+    while frontier:
+        key, trace = frontier.popleft()
+        name = graph.actions[key]
+        if key in walked or name is None:
+            continue
+        walked.add(key)
+        view = bisim_contract(local_state(graph.states[key], owner))
         view_key = canonical_key(view)
         if view_key in by_view and by_view[view_key] != name:
-            violations.append(
-                Violation(
-                    "uniformity",
-                    f"bisimilar local states map to {by_view[view_key]} and {name}",
-                    trace,
-                )
+            violate(
+                "uniformity", f"bisimilar local states map to {by_view[view_key]} and {name}", trace
             )
         by_view.setdefault(view_key, name)
         if not applicable(view, task.action_named(name)):
-            violations.append(
-                Violation(
-                    "inapplicable",
-                    f"{name} is not applicable in the owner-local state",
-                    trace,
-                )
-            )
-            return None
-        return name
-
-    initial = [bisim_contract(g) for g in globals_of(task.initial)]
-    for g in initial:
-        if policy.action_for(g) is None and not eval_state(g, task.goal):
-            violations.append(
-                Violation(
-                    "coverage",
-                    "initial global state is neither covered nor a goal state",
-                )
-            )
-
-    # Walk the reachable policy graph, checking (a)/(b) once per state key.
-    frontier: deque[tuple[EpistemicState, tuple[str, ...]]] = deque((g, ()) for g in initial)
-    walked: set[bytes] = set()
-    while frontier:
-        state, trace = frontier.popleft()
-        key = canonical_key(state)
-        if key in walked:
+            violate("inapplicable", f"{name} is not applicable in the owner-local state", trace)
             continue
-        walked.add(key)
-        name = check_state(state, trace)
-        if name is None:
-            continue
-        for succ in _step(task, state, name) or ():
-            frontier.append((succ, trace + (name,)))
+        frontier.extend((succ, trace + (name,)) for succ in graph.step(key) or ())
 
-    for g in initial:
-        for execution in enumerate_executions(task, policy, g):
-            executions.append(execution)
-            if execution.outcome == "cutoff":
-                violations.append(
-                    Violation(
-                        "cycle" if execution.reason == "cycle" else "unsuccessful",
-                        f"execution does not terminate ({execution.reason})",
-                        execution.actions,
-                    )
-                )
-            elif execution.outcome != "success":
-                violations.append(
-                    Violation(
-                        "unsuccessful",
-                        f"execution fails: {execution.reason}",
-                        execution.actions,
-                    )
-                )
-
+    # No step bound: only finitely many global keys carry an action (each
+    # contracts into one of the policy's finitely many owner views), and a
+    # key already on the path ends it as a cycle.
+    executions = [e for key in initial for e in graph.executions(key, None)]
+    for execution in executions:
+        if execution.outcome == "cutoff":
+            violate("cycle", "execution does not terminate (cycle)", execution.actions)
+        elif execution.outcome != "success":
+            violate("unsuccessful", f"execution fails: {execution.reason}", execution.actions)
     return PolicyReport(not violations, tuple(violations), tuple(executions))

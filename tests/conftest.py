@@ -46,6 +46,24 @@ def load_doc(name: str):
     return parse_task((TASKS_DIR / f"{name}.eplan").read_bytes())
 
 
+def chain_document(n: int) -> str:
+    """A one-world task whose only plan and policy take ``n`` steps: action
+    ``s<i>`` needs ``p<i>`` and moves it to ``p<i+1>``; the goal is ``p<n>``."""
+    lines = [
+        "agents { A }",
+        "atoms { " + " ".join(f"p{i};" for i in range(n + 1)) + " }",
+        "state s0 { world w { p0 } designated w; }",
+    ]
+    for i in range(n):
+        lines.append(
+            f"action s{i} {{ event e {{ pre: p{i}; post: p{i + 1} & !p{i}; }} designated e; }}"
+        )
+    actions = ", ".join(f"s{i}" for i in range(n))
+    lines.append(f"goal {{ p{n} }}")
+    lines.append(f"task {{ initial: s0; actions: {actions}; owner: A; }}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def birthday_single():
     return load_doc("birthday_single").task

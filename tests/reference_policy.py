@@ -3,9 +3,14 @@ min-max passes repeated until no height changes, a by-name pick pass and
 a by-name collect walk, with every action tested for applicability at
 every node. ``_owner_classes`` is the observation-class split as it stood
 before owner closures were computed as world sets: one global state and
-one agent-local state per designated world, each closure contracted. Kept
+one agent-local state per designated world, each closure contracted.
+``_step``, ``enumerate_executions`` and ``validate_policy`` are the policy
+walks as they stood before the step table: a recursive depth-first walk
+that steps every state again on every path, a 1,000-step bound, and a
+breadth-first check that steps the reachable states once more. Kept
 unchanged as the reference that ``tests/test_planner.py`` compares
-``solve_policy`` and ``planner._owner_classes`` against."""
+``solve_policy``, ``planner._owner_classes``, ``enumerate_executions`` and
+``validate_policy`` against."""
 
 from __future__ import annotations
 
@@ -16,7 +21,13 @@ from eplan.actions import applicable, product_update
 from eplan.errors import ModelError
 from eplan.logic import Agent, eval_state
 from eplan.models import EpistemicState, bisim_contract, canonical_key, globals_of
-from eplan.planner import EpistemicTask, Policy
+from eplan.planner import (
+    EpistemicTask,
+    Execution,
+    Policy,
+    PolicyReport,
+    Violation,
+)
 from reference_update import local_state
 
 
@@ -163,3 +174,160 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
                         walk.append(child)
                 break
     return Policy(owner, entries, states, root_keys, chosen_children)
+
+
+def _step(
+    task: EpistemicTask, state: EpistemicState, name: str
+) -> list[EpistemicState] | None:
+    """One policy step: the contracted successor globals of taking the
+    action ``name`` in ``state``, or None when it is not applicable.
+    Unknown action names raise."""
+    action = task.action_named(name)
+    if not applicable(state, action):
+        return None
+    return [bisim_contract(g) for g in globals_of(product_update(state, action))]
+
+
+def enumerate_executions(
+    task: EpistemicTask,
+    policy: Policy,
+    start: EpistemicState,
+    max_steps: int = 1000,
+) -> list[Execution]:
+    """All executions of the policy from a global state, depth-first with
+    branches explored in world order. Revisiting a state already on the
+    current path is reported as a cutoff (the policy loops)."""
+    if not start.is_global:
+        raise ModelError("execution starts from a global state")
+    out: list[Execution] = []
+
+    def walk(state: EpistemicState, trace_states, trace_actions, path_keys):
+        name = policy.action_for(state)
+        if name is None:
+            outcome = "success" if eval_state(state, task.goal) else "failure"
+            reason = None if outcome == "success" else "policy undefined"
+            out.append(Execution(tuple(trace_states), tuple(trace_actions), outcome, reason))
+            return
+        key = canonical_key(state)
+        if key in path_keys:
+            out.append(
+                Execution(tuple(trace_states), tuple(trace_actions), "cutoff", "cycle")
+            )
+            return
+        if len(trace_actions) >= max_steps:
+            out.append(
+                Execution(tuple(trace_states), tuple(trace_actions), "cutoff", "step bound")
+            )
+            return
+        successors = _step(task, state, name)
+        if successors is None:
+            out.append(
+                Execution(
+                    tuple(trace_states),
+                    tuple(trace_actions),
+                    "failure",
+                    f"{name} not applicable",
+                )
+            )
+            return
+        for succ in successors:
+            walk(
+                succ,
+                trace_states + [succ],
+                trace_actions + [name],
+                path_keys | {key},
+            )
+
+    first = bisim_contract(start)
+    walk(first, [first], [], frozenset())
+    return out
+
+
+def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
+    """Check a policy against the strong-solution definition.
+
+    (a) every prescribed action is applicable in the owner's local state;
+    (b) uniformity: states with bisimilar owner-local views get one action;
+    (c) the initial state's globals are covered (or already satisfy the
+    goal); (d) every execution, enumerated exhaustively, succeeds, and the
+    reachable policy graph is acyclic. The policy only needs ``owner`` and
+    ``action_for``; violations carry a witness trace. Unknown action names
+    raise."""
+    owner = policy.owner
+    violations: list[Violation] = []
+    executions: list[Execution] = []
+
+    by_view: dict[bytes, str] = {}
+
+    def check_state(state: EpistemicState, trace: tuple[str, ...]) -> str | None:
+        name = policy.action_for(state)
+        if name is None:
+            return None
+        view = bisim_contract(local_state(state, owner))
+        view_key = canonical_key(view)
+        if view_key in by_view and by_view[view_key] != name:
+            violations.append(
+                Violation(
+                    "uniformity",
+                    f"bisimilar local states map to {by_view[view_key]} and {name}",
+                    trace,
+                )
+            )
+        by_view.setdefault(view_key, name)
+        if not applicable(view, task.action_named(name)):
+            violations.append(
+                Violation(
+                    "inapplicable",
+                    f"{name} is not applicable in the owner-local state",
+                    trace,
+                )
+            )
+            return None
+        return name
+
+    initial = [bisim_contract(g) for g in globals_of(task.initial)]
+    for g in initial:
+        if policy.action_for(g) is None and not eval_state(g, task.goal):
+            violations.append(
+                Violation(
+                    "coverage",
+                    "initial global state is neither covered nor a goal state",
+                )
+            )
+
+    # Walk the reachable policy graph, checking (a)/(b) once per state key.
+    frontier: deque[tuple[EpistemicState, tuple[str, ...]]] = deque((g, ()) for g in initial)
+    walked: set[bytes] = set()
+    while frontier:
+        state, trace = frontier.popleft()
+        key = canonical_key(state)
+        if key in walked:
+            continue
+        walked.add(key)
+        name = check_state(state, trace)
+        if name is None:
+            continue
+        for succ in _step(task, state, name) or ():
+            frontier.append((succ, trace + (name,)))
+
+    for g in initial:
+        for execution in enumerate_executions(task, policy, g):
+            executions.append(execution)
+            if execution.outcome == "cutoff":
+                violations.append(
+                    Violation(
+                        "cycle" if execution.reason == "cycle" else "unsuccessful",
+                        f"execution does not terminate ({execution.reason})",
+                        execution.actions,
+                    )
+                )
+            elif execution.outcome != "success":
+                violations.append(
+                    Violation(
+                        "unsuccessful",
+                        f"execution fails: {execution.reason}",
+                        execution.actions,
+                    )
+                )
+
+    return PolicyReport(not violations, tuple(violations), tuple(executions))

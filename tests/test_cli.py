@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR
+from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR, chain_document
 from eplan import Policy, parse_task, product_update
 from eplan.cli import main
 from eplan.dsl import export_dot
@@ -193,6 +193,20 @@ class TestSolvePolicy:
         )
         assert code == 2 and "owner" in err
 
+    def test_long_policy_solves_and_renders(self, capsys, tmp_path):
+        # 1,100 steps: deeper than Python's default recursion limit, so the
+        # validation walks and the tree rendering must not recurse.
+        doc = tmp_path / "chain.eplan"
+        doc.write_text(chain_document(1100))
+        code, out, err = run(capsys, "solve", str(doc), "--mode", "policy", "--max-depth", "1200")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "policy owner=A entries=1100"
+        tree = lines[lines.index("tree:") + 1 : -1]
+        assert len(tree) == 1101  # 1,100 steps, one level each, then the goal
+        assert tree[-1].startswith("  " * 1101 + "[") and tree[-1].endswith("] (goal)")
+        assert lines[-1] == "executions: count=1 lengths={1100}"
+
 
 class TestValidate:
     def test_plan_file_ok(self, capsys, tmp_path):
@@ -243,6 +257,56 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", WRAP, "--policy", str(policy_file))
         assert code == 3
         assert "violation" in out
+
+    @pytest.mark.parametrize(
+        "task, assignments, expected",
+        [
+            (
+                WRAP,
+                [(None, "Go(Father,PostOffice,Home)"),
+                 ("Go(Father,PostOffice,Home)", "Wrap(Father,Present,Home)")],
+                "invalid: 1 violations\n"
+                "violation unsuccessful: execution fails: policy undefined"
+                " [after Go(Father,PostOffice,Home); Wrap(Father,Present,Home)]\n",
+            ),
+            (
+                PO2,
+                [(None, "Go(Father,Home,Home)")],
+                "invalid: 2 violations\n"
+                + "violation cycle: execution does not terminate (cycle)"
+                " [after Go(Father,Home,Home)]\n" * 2,
+            ),
+            (
+                PO2,
+                [],
+                "invalid: 4 violations\n"
+                + "violation coverage: initial global state is neither covered"
+                " nor a goal state\n" * 2
+                + "violation unsuccessful: execution fails: policy undefined\n" * 2,
+            ),
+        ],
+        ids=["wrap-at-home", "loop", "empty"],
+    )
+    def test_invalid_policy_text_pinned(self, capsys, tmp_path, task, assignments, expected):
+        # Each assignment is (the action taken from the initial state to
+        # reach it, or None for the initial state; the action prescribed).
+        parsed = parse_task(Path(task).read_bytes()).task
+        pairs = []
+        for before, action in assignments:
+            state = parsed.initial
+            if before is not None:
+                state = product_update(state, parsed.action_named(before))
+            pairs.append((state, action))
+        policy = Policy.from_assignments(parsed.owner, pairs)
+        payload = {
+            "eplan": 1,
+            "owner": parsed.owner.name,
+            "entries": [{"key": k.hex(), "action": a} for k, a in policy.entries.items()],
+        }
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "validate", task, "--policy", str(policy_file))
+        assert (code, out, err) == (3, expected, "")
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "validate", PO2)

@@ -10,7 +10,7 @@ import eplan.actions as actions_module
 import eplan.planner as planner
 import reference_policy
 import reference_update
-from conftest import TASK_FILES, TWO_OFFICE_PLAN, gen_task, load_doc
+from conftest import TASK_FILES, TWO_OFFICE_PLAN, chain_document, gen_task, load_doc
 from eplan import (
     EpistemicState,
     EpistemicTask,
@@ -393,6 +393,21 @@ class TestExecute:
         assert picked.outcome == "success" and picked.length == 1
 
 
+class RawPolicy:
+    """A two-post-office policy keyed by the raw global state, not by the
+    owner's view: it breaks uniformity."""
+
+    def __init__(self, owner):
+        self.owner = owner
+
+    def action_for(self, state):
+        w = next(iter(state.designated))
+        label = state.model.labels[w]
+        if any(a.name == "At(Present,PostOffice1)" for a in label):
+            return "Go(Father,Home,PostOffice1)"
+        return "Go(Father,Home,PostOffice2)"
+
+
 class TestValidatePolicy:
     def test_planner_policy_passes_all_checks(self, po2):
         policy = solve_policy(po2, 8)
@@ -404,17 +419,6 @@ class TestValidatePolicy:
     def test_uniformity_violation_detected(self, po2):
         # A raw mapping that keys on the exact global state can prescribe
         # different actions for two owner-indistinguishable globals.
-        class RawPolicy:
-            def __init__(self, owner):
-                self.owner = owner
-
-            def action_for(self, state):
-                w = next(iter(state.designated))
-                label = state.model.labels[w]
-                if any(a.name == "At(Present,PostOffice1)" for a in label):
-                    return "Go(Father,Home,PostOffice1)"
-                return "Go(Father,Home,PostOffice2)"
-
         report = validate_policy(po2, RawPolicy(po2.owner))
         assert not report.ok
         assert any(v.kind == "uniformity" for v in report.violations)
@@ -444,21 +448,42 @@ class TestValidatePolicy:
         assert failing
 
     def test_each_walked_key_computed_once(self, monkeypatch):
-        # The walk computes a state's key once and hands the state to the
-        # check; 240 calls when the check recomputed it.
+        # One step table serves the checks and the executions, so each
+        # reachable global state is keyed and stepped once: 204 key and 76
+        # update calls when every walk and every path stepped again, 240
+        # keys when the check also recomputed the key.
         task = parse_task(offices_document(5)).task
         policy = solve_policy(task, 13)
-        calls = []
-        key = planner.canonical_key
+        calls = {"canonical_key": 0, "product_update": 0}
 
-        def counted(state):
-            calls.append(state)
-            return key(state)
+        def counted(name):
+            fn = getattr(planner, name)
 
-        monkeypatch.setattr(planner, "canonical_key", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(planner, name, wrapper)
+
+        counted("canonical_key")
+        counted("product_update")
         report = validate_policy(task, policy)
         assert report.ok and report.execution_lengths == (4, 6, 8, 10, 12)
-        assert len(calls) == 204
+        assert calls == {"canonical_key": 114, "product_update": 36}
+
+    def test_long_chain_policy(self):
+        # 1,100 steps is deeper than Python's default recursion limit:
+        # neither walk may recurse, and validation has no step bound.
+        task = parse_task(chain_document(1100)).task
+        policy = solve_policy(task, 1200)
+        assert len(policy) == 1100
+        report = validate_policy(task, policy)
+        assert report.ok and report.violations == ()
+        assert [(e.length, e.outcome) for e in report.executions] == [(1100, "success")]
+        assert report.executions[0].actions == tuple(f"s{i}" for i in range(1100))
+        (run,) = enumerate_executions(task, policy, task.initial)
+        assert (run.outcome, run.reason, run.length) == ("cutoff", "step bound", 1000)
+        assert len(run.states) == 1001
 
     def test_coverage_violation(self, po2):
         empty = Policy(po2.owner)
@@ -743,6 +768,112 @@ class TestOwnerClassesOracle:
                             nxt.append(view)
             level = nxt
         assert successors > 10 * n
+
+
+def _run(execution):
+    """An execution with its states as canonical keys."""
+    keys = tuple(canonical_key(state) for state in execution.states)
+    return execution.actions, execution.outcome, execution.reason, keys
+
+
+def owner_class_keys(task, depth):
+    """The keys of the owner classes that applicable actions reach within
+    ``depth`` steps, in breadth-first order."""
+    level = planner._owner_classes(task.initial, task.owner)
+    keys = [key for key, _ in level]
+    for _ in range(depth):
+        nxt = []
+        for _, view in level:
+            for action in applicable_actions(view, task.actions):
+                succ = bisim_contract(product_update(view, action))
+                for key, child in planner._owner_classes(succ, task.owner):
+                    if key not in keys:
+                        keys.append(key)
+                        nxt.append((key, child))
+        level = nxt
+    return keys
+
+
+def random_policy(rng, task, keys):
+    """A random action per owner class, about one class in five unmapped."""
+    entries = {key: rng.choice(task.actions).name for key in keys if rng.random() < 0.8}
+    return Policy(task.owner, entries)
+
+
+class TestPolicyWalkOracle:
+    """The step-table walks against the recursive walks they replaced
+    (``reference_policy``): the same ``ok``, the same violations in order
+    and, per execution, the same actions, outcome, reason and state keys;
+    and the same executions from every initial global at four bounds."""
+
+    def test_reference_copies_are_pinned(self):
+        # Copied verbatim from the walks they replaced: edit them only
+        # together with this pin.
+        source = "".join(
+            inspect.getsource(fn)
+            for fn in (
+                reference_policy._step,
+                reference_policy.enumerate_executions,
+                reference_policy.validate_policy,
+            )
+        )
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        assert digest == "957e13701c974e8e"
+
+    def assert_same(self, task, policy):
+        """Return whether the policy is valid."""
+        ours = validate_policy(task, policy)
+        theirs = reference_policy.validate_policy(task, policy)
+        assert ours.ok == theirs.ok
+        assert [str(v) for v in ours.violations] == [str(v) for v in theirs.violations]
+        assert list(map(_run, ours.executions)) == list(map(_run, theirs.executions))
+        for start in globals_of(task.initial):
+            for bound in (0, 1, 2, 1000):
+                expected = reference_policy.enumerate_executions(task, policy, start, bound)
+                got = enumerate_executions(task, policy, start, bound)
+                assert list(map(_run, got)) == list(map(_run, expected)), bound
+        return ours.ok
+
+    @pytest.mark.parametrize("name", TASK_FILES)
+    def test_task_files(self, name):
+        task = load_doc(name).task
+        if task.owner is None:
+            return
+        policy = solve_policy(task, 8)
+        assert policy is None or self.assert_same(task, policy)
+        assert not self.assert_same(task, Policy(task.owner))
+        rng = random.Random(name)
+        keys = owner_class_keys(task, 4)
+        for _ in range(20):
+            self.assert_same(task, random_policy(rng, task, keys))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_offices(self, n):
+        task = parse_task(offices_document(n)).task
+        policy = solve_policy(task, 2 * n + 3)
+        assert self.assert_same(task, policy)
+        rng = random.Random(n)
+        for _ in range(5):
+            assert not self.assert_same(task, random_policy(rng, task, list(policy.entries)))
+
+    def test_raw_state_policy(self, po2):
+        assert not self.assert_same(po2, RawPolicy(po2.owner))
+
+    def test_generated_tasks(self):
+        rng = random.Random(83)
+        solved = invalid = several = 0
+        for _ in range(300):
+            task = gen_task(rng)
+            task = localize(task, task.vocab.agents[0])
+            policy = solve_policy(task, 4)
+            if policy is not None:
+                solved += self.assert_same(task, policy)
+            keys = owner_class_keys(task, 3)
+            for _ in range(4):
+                policy = random_policy(rng, task, keys)
+                invalid += not self.assert_same(task, policy)
+                several += len(validate_policy(task, policy).violations) >= 2
+        assert solved > 100 and invalid > 900 and several > 500
 
 
 def exhaustive_min_solution(task, cap):
