@@ -244,24 +244,25 @@ def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
     return inapplicable_witness(state, action) is None
 
 
-def applicable_actions(
-    state: EpistemicState, actions: Iterable[EpistemicAction]
-) -> list[EpistemicAction]:
-    """The actions applicable in ``state``, in the given order.
+def applicable_updates(state: EpistemicState, actions: Iterable[EpistemicAction]):
+    """The product update of ``state`` with each applicable action, in the
+    given order, as (action, update) pairs; consumed lazily.
 
     An action whose required atoms (``_must``) are not shared by every
     designated world's label is skipped without evaluating a precondition;
-    every other action is decided by :func:`applicable`. The state must
-    share each action's vocabulary (checked for every action)."""
+    every other action is decided by :func:`product_update` itself. The
+    state must share each action's vocabulary (checked for every action)."""
     vocab, labels = state.model.vocab, state.model.labels
     common = frozenset.intersection(*(labels[w] for w in state.designated))
-    out = []
     for action in actions:
         if action.vocab is not vocab:
             _check_shared_vocab(state, action)
-        if action._must <= common and applicable(state, action):
-            out.append(action)
-    return out
+        if action._must <= common:
+            try:
+                update = product_update(state, action)
+            except NotApplicableError:
+                continue
+            yield action, update
 
 
 def _holds(action: EpistemicAction, e: int, model: EpistemicModel, w: int) -> bool:
@@ -326,20 +327,25 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
     ]
     labels = [action.events[e].post.apply_to(model.labels[w]) for (w, e) in pairs]
 
+    # Per event pair: e -> e links the pairs of each explicit world edge; a
+    # guarded e -> t links each pair whose guard holds to its successors'.
     edges: dict[Agent, set[tuple[int, int]]] = {}
     for agent in vocab.agents:
         out = action._out[agent.index]
         linked: set[tuple[int, int]] = set()
-        for i, (w, e) in enumerate(pairs):
-            world_succ = model.successors(agent, w)
-            columns = [slot[e]] + [
-                slot[t] for t, guard in out[e] if guard is None or _eval(model, w, guard)
-            ]
-            for column in columns:
-                for wp in world_succ:
-                    j = column[wp]
-                    if j is not None and j != i:
-                        linked.add((i, j))
+        for e in events:
+            source = slot[e]
+            for (u, v) in model.edges[agent]:
+                if source[u] is not None and source[v] is not None:
+                    linked.add((source[u], source[v]))
+            for t, guard in out[e]:
+                target = slot[t]
+                for w, i in enumerate(source):
+                    if i is None or (guard is not None and not _eval(model, w, guard)):
+                        continue
+                    for v in model.successors(agent, w):
+                        if target[v] is not None:
+                            linked.add((i, target[v]))
         edges[agent] = linked
 
     designated = {

@@ -38,7 +38,7 @@ class NotApplicableError(EplanError):
 
 
 class EmptyProductError(EplanError):
-    """A product update produced a model with no worlds at all."""
+    """Deprecated and never raised: an applicable action's update has worlds."""
 
 
 @dataclass(frozen=True)

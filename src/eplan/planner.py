@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .actions import (
     EpistemicAction,
     applicable,
-    applicable_actions,
+    applicable_updates,
     local_action,
     product_update,
 )
@@ -141,11 +141,17 @@ def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | No
 
     Breadth-first over product updates, contracting at every expansion and
     deduplicating by canonical key, so bisimilar states are explored once.
+    A successor whose shape was yielded before is dropped uncontracted:
+    the search has already seen its key.
     """
+    shapes: set[tuple] = set()
 
     def expand(state: EpistemicState):
-        for action in applicable_actions(state, task.actions):
-            yield action.name, bisim_contract(product_update(state, action))
+        for action, update in applicable_updates(state, task.actions):
+            shape = _shape(update)
+            if shape not in shapes:
+                shapes.add(shape)
+                yield action.name, bisim_contract(update)
 
     steps = breadth_first(
         bisim_contract(task.initial),
@@ -262,6 +268,15 @@ class Policy:
         return f"Policy(owner={self.owner.name}, {len(self.entries)} entries)"
 
 
+def _shape(state: EpistemicState) -> tuple:
+    """A state up to world names: its labels, designated set and per-agent
+    edges. Its contraction (up to world names), canonical key and owner
+    classes depend on nothing else, so a search works them out once per
+    shape."""
+    model = state.model
+    return model.labels, state.designated, tuple(model.edges[a] for a in model.vocab.agents)
+
+
 def _owner_classes(
     state: EpistemicState, owner: Agent
 ) -> list[tuple[bytes, EpistemicState]]:
@@ -270,14 +285,19 @@ def _owner_classes(
 
     Returns (key, contracted local state) per class, sorted by key. Globals
     with one owner closure share one view, so each closure is contracted
-    once. A closure that is the whole designated set of a contracted state
-    has that state itself as its view: the same model and designated set,
-    which contraction would return unchanged."""
+    once. A world inside an earlier closure that has the closure's seed
+    among its owner successors has that closure (closures are forward-
+    closed), so it is not searched. A closure that is the whole designated
+    set of a contracted state has that state itself as its view: the same
+    model and designated set, which contraction would return unchanged."""
     model = state.model
     classes: dict[bytes, EpistemicState] = {}
     closures: set[frozenset[int]] = set()
+    seeds: dict[int, frozenset[int]] = {}  # searched world -> its closure
     for w in sorted(state.designated):
-        closure = frozenset(model.closure((w,), (owner,)))
+        if any(w in seeds[s] for s in model.successors(owner, w) if s in seeds):
+            continue
+        closure = seeds[w] = frozenset(model.closure((w,), (owner,)))
         if closure in closures:
             continue
         closures.add(closure)
@@ -320,24 +340,27 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
     owner = task.owner
 
     # Roots are distinct and a child is queued only when new, so each node
-    # is expanded at most once.
+    # is expanded at most once. A successor shape seen before has all its
+    # child keys among the nodes already, so it reuses them uncontracted.
     roots = _owner_classes(task.initial, owner)
     nodes = {key: _Node(state, 0, eval_state(state, task.goal)) for key, state in roots}
     queue: deque[bytes] = deque(nodes)
+    children: dict[tuple, tuple[bytes, ...]] = {}  # successor shape -> child keys
     while queue:
         node = nodes[queue.popleft()]
         if node.goal or node.depth >= depth_cap:
             continue
-        for action in applicable_actions(node.state, task.actions):
-            succ = bisim_contract(product_update(node.state, action))
-            child_keys = []
-            for child_key, child_state in _owner_classes(succ, owner):
-                child_keys.append(child_key)
-                if child_key not in nodes:
-                    goal = eval_state(child_state, task.goal)
-                    nodes[child_key] = _Node(child_state, node.depth + 1, goal)
-                    queue.append(child_key)
-            node.edges.append((action.name, tuple(child_keys)))
+        for action, update in applicable_updates(node.state, task.actions):
+            shape = _shape(update)
+            if shape not in children:
+                classes = _owner_classes(bisim_contract(update), owner)
+                children[shape] = tuple(key for key, _ in classes)
+                for child_key, child_state in classes:
+                    if child_key not in nodes:
+                        goal = eval_state(child_state, task.goal)
+                        nodes[child_key] = _Node(child_state, node.depth + 1, goal)
+                        queue.append(child_key)
+            node.edges.append((action.name, children[shape]))
 
     # Per edge, the number of its children not yet solved; per node, the
     # edges (parent key, edge index) it is a child of.
@@ -424,7 +447,9 @@ class _Graph:
     key of a contracted global state: the state, the policy's action there
     (asked once) and its successor keys (stepped at most once, when a walk
     first needs them). Successors keep world order and repeats, since each
-    one is a separate execution; None means the action is not applicable."""
+    one is a separate execution; None means the action is not applicable.
+    A state's contracted owner view and its key are worked out once, on
+    adding it for a :class:`Policy` (whose lookup key it is)."""
 
     def __init__(self, task: EpistemicTask, policy):
         self.task = task
@@ -432,13 +457,23 @@ class _Graph:
         self.states: dict[bytes, EpistemicState] = {}
         self.actions: dict[bytes, str | None] = {}
         self.successors: dict[bytes, tuple[bytes, ...] | None] = {}
+        self.views: dict[bytes, tuple[EpistemicState, bytes]] = {}
 
     def add(self, state: EpistemicState) -> bytes:
         key = canonical_key(state)
         if key not in self.states:
             self.states[key] = state
-            self.actions[key] = self.policy.action_for(state)
+            if isinstance(self.policy, Policy):
+                self.actions[key] = self.policy.entries.get(self.view(key)[1])
+            else:
+                self.actions[key] = self.policy.action_for(state)
         return key
+
+    def view(self, key: bytes) -> tuple[EpistemicState, bytes]:
+        if key not in self.views:
+            view = bisim_contract(local_state(self.states[key], self.policy.owner))
+            self.views[key] = view, canonical_key(view)
+        return self.views[key]
 
     def step(self, key: bytes) -> tuple[bytes, ...] | None:
         if key not in self.successors:
@@ -584,8 +619,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
     reachable policy graph is acyclic. The policy only needs ``owner`` and
     ``action_for``; violations carry a witness trace. Unknown action names
     raise. One step table serves every walk, so each reachable global
-    state is keyed, looked up and stepped once."""
-    owner = policy.owner
+    state is keyed, looked up and stepped once, and its owner view keyed once."""
     violations: list[Violation] = []
 
     def violate(kind: str, message: str, trace: tuple[str, ...] = ()) -> None:
@@ -608,8 +642,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
         if key in walked or name is None:
             continue
         walked.add(key)
-        view = bisim_contract(local_state(graph.states[key], owner))
-        view_key = canonical_key(view)
+        view, view_key = graph.view(key)
         if view_key in by_view and by_view[view_key] != name:
             violate(
                 "uniformity", f"bisimilar local states map to {by_view[view_key]} and {name}", trace

@@ -10,7 +10,10 @@ that steps every state again on every path, a 1,000-step bound, and a
 breadth-first check that steps the reachable states once more. Kept
 unchanged as the reference that ``tests/test_planner.py`` compares
 ``solve_policy``, ``planner._owner_classes``, ``enumerate_executions`` and
-``validate_policy`` against."""
+``validate_policy`` against. ``solve_sequential`` is the breadth-first
+search as it stood before successor shapes were remembered and the product
+update decided applicability: it tests, contracts and keys every
+successor."""
 
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from eplan.actions import applicable, product_update
+from eplan.classical import breadth_first
 from eplan.errors import ModelError
 from eplan.logic import Agent, eval_state
 from eplan.models import EpistemicState, bisim_contract, canonical_key, globals_of
@@ -26,9 +30,31 @@ from eplan.planner import (
     Execution,
     Policy,
     PolicyReport,
+    SequentialPlan,
     Violation,
 )
-from reference_update import local_state
+from reference_update import applicable_actions, local_state
+
+
+def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | None:
+    """Shortest action sequence reaching the goal, or None within the cap.
+
+    Breadth-first over product updates, contracting at every expansion and
+    deduplicating by canonical key, so bisimilar states are explored once.
+    """
+
+    def expand(state: EpistemicState):
+        for action in applicable_actions(state, task.actions):
+            yield action.name, bisim_contract(product_update(state, action))
+
+    steps = breadth_first(
+        bisim_contract(task.initial),
+        canonical_key,
+        expand,
+        lambda state: eval_state(state, task.goal),
+        depth_cap,
+    )
+    return None if steps is None else SequentialPlan(steps)
 
 
 def _owner_classes(

@@ -10,13 +10,18 @@ stood before the single multi-source search and the contracted-state mark
 (``EpistemicModel.union_reach`` and ``reachable_from`` as functions of the
 model, without the per-world cache), so the reference contraction does not
 run the reachability code under test.
+
+``applicable_actions`` is the search's action filter as it stood before
+the product update decided applicability: the required-atom skip, then
+one ``applicable`` test per remaining action. Tests use it to list the
+successors a search makes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from eplan.actions import EpistemicAction
+from eplan.actions import EpistemicAction, applicable
 from eplan.errors import (
     EmptyProductError,
     NotApplicableError,
@@ -73,6 +78,26 @@ def _check_shared_vocab(state: EpistemicState, action: EpistemicAction) -> None:
         raise VocabularyMismatchError(
             f"state and action {action.name} use different atom/agent tables"
         )
+
+
+def applicable_actions(
+    state: EpistemicState, actions: Iterable[EpistemicAction]
+) -> list[EpistemicAction]:
+    """The actions applicable in ``state``, in the given order.
+
+    An action whose required atoms (``_must``) are not shared by every
+    designated world's label is skipped without evaluating a precondition;
+    every other action is decided by :func:`applicable`. The state must
+    share each action's vocabulary (checked for every action)."""
+    vocab, labels = state.model.vocab, state.model.labels
+    common = frozenset.intersection(*(labels[w] for w in state.designated))
+    out = []
+    for action in actions:
+        if action.vocab is not vocab:
+            _check_shared_vocab(state, action)
+        if action._must <= common and applicable(state, action):
+            out.append(action)
+    return out
 
 
 def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:

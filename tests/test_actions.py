@@ -46,8 +46,8 @@ from eplan import (
     product_update,
     skip_action,
 )
-from eplan.actions import applicable_actions, inapplicable_witness
-from reference_update import bisimilar
+from eplan.actions import applicable_updates, inapplicable_witness
+from reference_update import applicable_actions, bisimilar
 
 
 @pytest.fixture
@@ -592,6 +592,11 @@ def _filtered(state, actions):
     return [a for a in actions if applicable(state, a)]
 
 
+def _updated(state, actions):
+    """The actions ``applicable_updates`` finds applicable."""
+    return [action for action, _ in applicable_updates(state, actions)]
+
+
 def _applicability_cases():
     """Preconditions the required-atom filter must not misjudge: a K
     precondition, a contradiction, a negative-only literal, designated
@@ -644,11 +649,15 @@ class TestApplicableActions:
         hits = 0
         for state in states:
             expected = _filtered(state, actions)
+            assert _updated(state, actions) == expected
             assert applicable_actions(state, actions) == expected
             hits += len(expected)
         assert 0 < hits < len(states) * len(actions)
 
     def test_generated_tasks_match_per_action_test(self):
+        # Against the per-action test and the filter the searches used
+        # before (``reference_update.applicable_actions``); each update is
+        # the product update of its action.
         rng = random.Random(73)
         for _ in range(500):
             task = gen_task(rng, max_agents=3, max_worlds=4)
@@ -657,7 +666,11 @@ class TestApplicableActions:
                 states.append(product_update(task.initial, action))
                 states.append(bisim_contract(states[-1]))
             for state in states:
-                assert applicable_actions(state, task.actions) == _filtered(state, task.actions)
+                expected = _filtered(state, task.actions)
+                assert applicable_actions(state, task.actions) == expected
+                assert _updated(state, task.actions) == expected
+                for action, update in applicable_updates(state, task.actions):
+                    assert update == product_update(state, action)
 
     def test_mismatched_vocabulary_raises_even_when_filtered(self):
         states, actions = _applicability_cases()
@@ -669,4 +682,4 @@ class TestApplicableActions:
         assert foreign._must == {other.atom("s")}
         for state in states:
             with pytest.raises(VocabularyMismatchError):
-                applicable_actions(state, actions + [foreign])
+                _updated(state, actions + [foreign])

@@ -25,7 +25,7 @@ from eplan import (
 )
 import reference_update as reference
 from conftest import gen_task
-from eplan.actions import applicable_actions
+from reference_update import applicable_actions
 from reference_update import bisimilar
 
 

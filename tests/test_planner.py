@@ -7,6 +7,7 @@ import random
 import pytest
 
 import eplan.actions as actions_module
+import eplan.models as models_module
 import eplan.planner as planner
 import reference_policy
 import reference_update
@@ -30,6 +31,7 @@ from eplan import (
     execute,
     globals_of,
     induced_action,
+    local_state,
     localize,
     parse_task,
     product_update,
@@ -38,9 +40,8 @@ from eplan import (
     validate_plan,
     validate_policy,
 )
-from eplan.actions import applicable_actions
 from reference_policy import solve_policy as reference_solve_policy
-from reference_update import bisimilar
+from reference_update import applicable_actions, bisimilar
 
 
 def global_task(po2, world):
@@ -99,6 +100,33 @@ class TestLocalize:
             )
 
 
+def count_calls(monkeypatch):
+    """Count the calls of a few library functions, through every module
+    binding, and of ``EpistemicModel.closure``."""
+    modules = (planner, actions_module, models_module)
+    names = ("applicable", "local_state", "globals_of", "product_update",
+             "bisim_contract", "canonical_key")
+    calls = dict.fromkeys(names + ("closure",), 0)
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    closure = models_module.EpistemicModel.closure
+
+    def counted_closure(self, *args):
+        calls["closure"] += 1
+        return closure(self, *args)
+
+    monkeypatch.setattr(models_module.EpistemicModel, "closure", counted_closure)
+    return calls
+
+
 class TestSolveSequential:
     def test_two_post_offices_plan_matches_worked_sequence(self, po2):
         plan = solve_sequential(po2, 8)
@@ -114,6 +142,18 @@ class TestSolveSequential:
 
     def test_depth_cap_respected(self, po2):
         assert solve_sequential(po2, 5) is None
+
+    def test_search_counts(self, monkeypatch):
+        # A successor shape yielded before is dropped uncontracted: 2,638
+        # contractions, 1,319 keys and 1,318 ``applicable`` calls before.
+        task = parse_task(offices_document(5)).task
+        calls = count_calls(monkeypatch)
+        plan = solve_sequential(task, 13)
+        assert plan is not None and len(plan) == 12
+        assert calls == {
+            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 1318,
+            "bisim_contract": 548, "canonical_key": 274, "closure": 274,
+        }
 
     def test_pickup_variant_on_global_task(self, po2):
         # With the actual world at PO2, the second try-pickup can be the
@@ -208,31 +248,21 @@ class TestSolvePolicy:
         assert report.execution_lengths == (5,)
 
     def test_search_counts(self, monkeypatch):
-        # One applicability test per taken edge plus the few the required
-        # atoms cannot rule out (8,274 when every action was tested at
-        # every node), and owner views built with no global or local
-        # state objects (1,354 and 3,367 before).
+        # The product update decides applicability (1,358 ``applicable``
+        # calls before, 8,274 when every action was tested at every node);
+        # owner views are built with no global or local state objects
+        # (1,354 and 3,367 before); each successor shape is contracted,
+        # split and keyed once (2,933 contractions and 1,429 keys before),
+        # and one closure search serves each owner class (4,871 closures
+        # before).
         task = parse_task(offices_document(5)).task
-        calls = {"applicable": 0, "local_state": 0, "globals_of": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-            return wrapper
-
-        # The node filter calls ``applicable`` through the actions module;
-        # the planner's own binding is counted too.
-        monkeypatch.setattr(planner, "applicable", counted(actions_module, "applicable"))
-        counted(planner, "local_state")
-        counted(planner, "globals_of")
+        calls = count_calls(monkeypatch)
         policy = solve_policy(task, 13)
         assert policy is not None and len(policy) == 16
-        assert calls == {"applicable": 1358, "local_state": 0, "globals_of": 0}
+        assert calls == {
+            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 1358,
+            "bisim_contract": 773, "canonical_key": 349, "closure": 773,
+        }
 
     def test_owner_required(self, po2):
         task = global_task(po2, 1)
@@ -449,9 +479,10 @@ class TestValidatePolicy:
 
     def test_each_walked_key_computed_once(self, monkeypatch):
         # One step table serves the checks and the executions, so each
-        # reachable global state is keyed and stepped once: 204 key and 76
-        # update calls when every walk and every path stepped again, 240
-        # keys when the check also recomputed the key.
+        # reachable global state is keyed and stepped once, and its owner
+        # view is keyed once: 204 key and 76 update calls when every walk
+        # and every path stepped again, 240 keys when the check also
+        # recomputed the key, 114 when it recomputed the view key.
         task = parse_task(offices_document(5)).task
         policy = solve_policy(task, 13)
         calls = {"canonical_key": 0, "product_update": 0}
@@ -469,7 +500,7 @@ class TestValidatePolicy:
         counted("product_update")
         report = validate_policy(task, policy)
         assert report.ok and report.execution_lengths == (4, 6, 8, 10, 12)
-        assert calls == {"canonical_key": 114, "product_update": 36}
+        assert calls == {"canonical_key": 78, "product_update": 36}
 
     def test_long_chain_policy(self):
         # 1,100 steps is deeper than Python's default recursion limit:
@@ -768,6 +799,90 @@ class TestOwnerClassesOracle:
                             nxt.append(view)
             level = nxt
         assert successors > 10 * n
+
+
+def search_successors(task, depth):
+    """The product updates of a breadth-first walk ``depth`` steps deep
+    over distinct contracted states: each state, its globals and its agents'
+    local views take every applicable action. Globals and views share
+    their state's model, so successors of equal labels and edges but other
+    designated sets are among them."""
+    level = [bisim_contract(task.initial)]
+    seen = {canonical_key(level[0])}
+    for _ in range(depth):
+        nxt = []
+        for state in level:
+            sources = [state] + globals_of(state)
+            sources += [local_state(state, agent) for agent in task.vocab.agents]
+            for source in sources:
+                for action in applicable_actions(source, task.actions):
+                    succ = product_update(source, action)
+                    yield succ
+                    contracted = bisim_contract(succ)
+                    key = canonical_key(contracted)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(contracted)
+        level = nxt
+
+
+class TestShapeOracle:
+    """What the searches reuse per successor shape (``planner._shape``)
+    against working it out again: equal shapes give equal canonical keys
+    and equal owner-class keys for every agent; and the sequential search
+    against the one that contracted and keyed every successor
+    (``reference_policy.solve_sequential``)."""
+
+    def assert_shapes_decide(self, task, depth):
+        """Return (successors, successors whose shape came before)."""
+        seen = {}
+        total = repeats = 0
+        for succ in search_successors(task, depth):
+            contracted = bisim_contract(succ)
+            facts = (
+                canonical_key(contracted),
+                [
+                    [key for key, _ in planner._owner_classes(contracted, agent)]
+                    for agent in task.vocab.agents
+                ],
+            )
+            shape = planner._shape(succ)
+            total += 1
+            if shape in seen:
+                assert seen[shape] == facts
+                repeats += 1
+            else:
+                seen[shape] = facts
+        return total, repeats
+
+    def assert_same_plans(self, task, caps):
+        for cap in caps:
+            assert solve_sequential(task, cap) == reference_policy.solve_sequential(task, cap), cap
+
+    @pytest.mark.parametrize("name", TASK_FILES)
+    def test_task_files(self, name):
+        task = load_doc(name).task
+        total, repeats = self.assert_shapes_decide(task, 4)
+        assert repeats > 0
+        self.assert_same_plans(task, range(7))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_offices(self, n):
+        task = parse_task(offices_document(n)).task
+        total, repeats = self.assert_shapes_decide(task, n + 2)
+        assert repeats > total // 2
+        self.assert_same_plans(task, range(7))
+
+    def test_generated_tasks(self):
+        rng = random.Random(89)
+        total = repeats = solved = 0
+        for _ in range(500):
+            task = gen_task(rng, max_agents=3, max_worlds=4)
+            counts = self.assert_shapes_decide(task, 2)
+            total, repeats = total + counts[0], repeats + counts[1]
+            self.assert_same_plans(task, range(7))
+            solved += solve_sequential(task, 6) is not None
+        assert repeats > total // 10 and solved > 100
 
 
 def _run(execution):
