@@ -1,8 +1,9 @@
 """Command-line interface over ``.eplan`` task files.
 
 Exit codes: 0 success or solution found; 1 no solution within the depth
-cap (or execution cutoff); 2 usage, parse, or resolution errors, including
-input nested too deeply to evaluate; 3 a validation or check failure.
+cap; 2 usage, parse, or resolution errors, including input nested too
+deeply to evaluate; 3 a validation or check failure, or an execution that
+does not succeed (failure or cutoff).
 ``solve`` always validates its own output before printing, so an internal
 soundness bug surfaces as exit 3, never as a silently wrong plan.
 Identical invocations produce byte-identical output; set EPLAN_LOG=debug
@@ -431,9 +432,7 @@ def cmd_execute(args) -> int:
         "reason": result.reason,
     }
     _emit(args, "\n".join(lines), payload)
-    if result.outcome == "success":
-        return 0
-    return 1 if result.outcome == "cutoff" else 3
+    return 0 if result.outcome == "success" else 3
 
 
 def cmd_dot(args) -> int:

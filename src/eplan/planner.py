@@ -244,8 +244,7 @@ class Policy:
         local view are rejected."""
         policy = cls(owner)
         for state, name in pairs:
-            view = bisim_contract(local_state(state, owner))
-            key = canonical_key(view)
+            view, key = _owner_view(state, owner)
             if key in policy.entries and policy.entries[key] != name:
                 raise ModelError(
                     f"conflicting assignments for one local state:"
@@ -256,7 +255,7 @@ class Policy:
         return policy
 
     def key_for(self, state: EpistemicState) -> bytes:
-        return canonical_key(local_state(state, self.owner))
+        return _owner_view(state, self.owner)[1]
 
     def action_for(self, state: EpistemicState) -> str | None:
         return self.entries.get(self.key_for(state))
@@ -266,6 +265,13 @@ class Policy:
 
     def __repr__(self) -> str:
         return f"Policy(owner={self.owner.name}, {len(self.entries)} entries)"
+
+
+def _owner_view(state: EpistemicState, owner: Agent) -> tuple[EpistemicState, bytes]:
+    """The owner's contracted local view of ``state`` and its canonical
+    key, the key a :class:`Policy` entry is looked up by."""
+    view = bisim_contract(local_state(state, owner))
+    return view, canonical_key(view)
 
 
 def _shape(state: EpistemicState) -> tuple:
@@ -428,28 +434,14 @@ class Execution:
         return f"Execution({self.length} steps, {self.outcome})"
 
 
-def _step(
-    task: EpistemicTask, state: EpistemicState, name: str
-) -> list[EpistemicState] | None:
-    """One policy step: the contracted successor globals of taking the
-    action ``name`` in ``state``, or None when it is not applicable.
-    Unknown action names raise."""
-    action = task.action_named(name)
-    try:
-        update = product_update(state, action)
-    except NotApplicableError:
-        return None
-    return [bisim_contract(g) for g in globals_of(update)]
-
-
 class _Graph:
-    """The step table that one policy check walks, keyed by the canonical
-    key of a contracted global state: the state, the policy's action there
-    (asked once) and its successor keys (stepped at most once, when a walk
-    first needs them). Successors keep world order and repeats, since each
-    one is a separate execution; None means the action is not applicable.
-    A state's contracted owner view and its key are worked out once, on
-    adding it for a :class:`Policy` (whose lookup key it is)."""
+    """The step table that every policy walk reads, keyed by the canonical
+    key of a contracted global state: the state (the trace representative),
+    the policy's action there (asked once) and its successor keys (stepped
+    at most once, when a walk first needs them). Successors keep world order
+    and repeats, since each one is a separate execution; None means the
+    action is not applicable. A :class:`Policy` looks a state up by its
+    owner view's key, worked out once, on adding the state."""
 
     def __init__(self, task: EpistemicTask, policy):
         self.task = task
@@ -471,21 +463,30 @@ class _Graph:
 
     def view(self, key: bytes) -> tuple[EpistemicState, bytes]:
         if key not in self.views:
-            view = bisim_contract(local_state(self.states[key], self.policy.owner))
-            self.views[key] = view, canonical_key(view)
+            self.views[key] = _owner_view(self.states[key], self.policy.owner)
         return self.views[key]
 
     def step(self, key: bytes) -> tuple[bytes, ...] | None:
+        """The keys of the contracted successor globals of the policy's
+        action at ``key``, or None when it is not applicable. Unknown
+        action names raise."""
         if key not in self.successors:
-            succ = _step(self.task, self.states[key], self.actions[key])
-            self.successors[key] = None if succ is None else tuple(map(self.add, succ))
+            action = self.task.action_named(self.actions[key])
+            try:
+                update = globals_of(product_update(self.states[key], action))
+            except NotApplicableError:
+                self.successors[key] = None
+            else:
+                self.successors[key] = tuple(self.add(bisim_contract(g)) for g in update)
         return self.successors[key]
 
-    def executions(self, first: bytes, max_steps: int | None) -> list[Execution]:
+    def executions(self, first: bytes, max_steps: int | None, choose=None) -> list[Execution]:
         """All executions from ``first``, depth-first with branches in
         world order, without recursion. A state whose key is already on
         the current path is a cycle cutoff; ``max_steps=None`` sets no
-        step bound."""
+        step bound. With ``choose``, each step follows only the successor
+        it picks from the successor states (world order, repeats kept),
+        so there is exactly one execution."""
         out: list[Execution] = []
         path: dict[bytes, None] = {}  # the current state's ancestors, in order
         branches = [iter((first,))]  # per open state: successor keys left
@@ -508,6 +509,8 @@ class _Graph:
                 outcome, reason = "failure", f"{name} not applicable"
             else:
                 path[key] = None
+                if choose is not None:
+                    succ = (succ[choose([self.states[k] for k in succ])],)
                 branches.append(iter(succ))
                 continue
             states = tuple(self.states[k] for k in path) + (self.states[key],)
@@ -525,36 +528,18 @@ def execute(
     chooser: Callable[[list[EpistemicState]], int] | None = None,
 ) -> Execution:
     """Follow the policy from a global state, resolving nondeterministic
-    outcomes with the chooser (default: seeded RNG). Stops with success
-    when the policy is undefined and the goal holds, with failure when it
-    is undefined otherwise or a step misfires, and with cutoff after
-    ``max_steps`` (a guard against non-solution policies)."""
+    outcomes with the chooser (default: seeded RNG): the step table's
+    single-branch walk. Stops with success when the policy is undefined and
+    the goal holds, with failure when it is undefined otherwise or a step
+    misfires, and with cutoff when a state repeats or after ``max_steps``."""
     if not start.is_global:
         raise ModelError("execution starts from a global state")
     if chooser is None:
         rng = random.Random(seed)
         chooser = lambda options: rng.randrange(len(options))  # noqa: E731
-    states = [bisim_contract(start)]
-    actions: list[str] = []
-    while True:
-        current = states[-1]
-        name = policy.action_for(current)
-        if name is None:
-            if eval_state(current, task.goal):
-                return Execution(tuple(states), tuple(actions), "success")
-            return Execution(
-                tuple(states), tuple(actions), "failure", "policy undefined"
-            )
-        if len(actions) >= max_steps:
-            return Execution(tuple(states), tuple(actions), "cutoff", "step bound")
-        options = _step(task, current, name)
-        if options is None:
-            return Execution(
-                tuple(states), tuple(actions), "failure", f"{name} not applicable"
-            )
-        pick = chooser(options)
-        actions.append(name)
-        states.append(options[pick])
+    graph = _Graph(task, policy)
+    (run,) = graph.executions(graph.add(bisim_contract(start)), max_steps, chooser)
+    return run
 
 
 def enumerate_executions(

@@ -13,12 +13,17 @@ unchanged as the reference that ``tests/test_planner.py`` compares
 ``validate_policy`` against. ``solve_sequential`` is the breadth-first
 search as it stood before successor shapes were remembered and the product
 update decided applicability: it tests, contracts and keys every
-successor."""
+successor. ``execute`` is the seeded single-path walk as it stood before
+it became the step table's single-branch walk: its own loop, no cycle
+test (a looping policy runs to ``max_steps``), and trace states taken
+straight from each step."""
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from eplan.actions import applicable, product_update
 from eplan.classical import breadth_first
@@ -357,3 +362,44 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
                 )
 
     return PolicyReport(not violations, tuple(violations), tuple(executions))
+
+
+def execute(
+    task: EpistemicTask,
+    policy: Policy,
+    start: EpistemicState,
+    seed: int = 0,
+    max_steps: int = 100,
+    chooser: Callable[[list[EpistemicState]], int] | None = None,
+) -> Execution:
+    """Follow the policy from a global state, resolving nondeterministic
+    outcomes with the chooser (default: seeded RNG). Stops with success
+    when the policy is undefined and the goal holds, with failure when it
+    is undefined otherwise or a step misfires, and with cutoff after
+    ``max_steps`` (a guard against non-solution policies)."""
+    if not start.is_global:
+        raise ModelError("execution starts from a global state")
+    if chooser is None:
+        rng = random.Random(seed)
+        chooser = lambda options: rng.randrange(len(options))  # noqa: E731
+    states = [bisim_contract(start)]
+    actions: list[str] = []
+    while True:
+        current = states[-1]
+        name = policy.action_for(current)
+        if name is None:
+            if eval_state(current, task.goal):
+                return Execution(tuple(states), tuple(actions), "success")
+            return Execution(
+                tuple(states), tuple(actions), "failure", "policy undefined"
+            )
+        if len(actions) >= max_steps:
+            return Execution(tuple(states), tuple(actions), "cutoff", "step bound")
+        options = _step(task, current, name)
+        if options is None:
+            return Execution(
+                tuple(states), tuple(actions), "failure", f"{name} not applicable"
+            )
+        pick = chooser(options)
+        actions.append(name)
+        states.append(options[pick])

@@ -336,6 +336,31 @@ class TestValidate:
         assert "Traceback" not in out + err
 
 
+class TestExecute:
+    def test_looping_policy_ends_at_the_first_repeat(self, capsys, tmp_path):
+        # Staying at home forever: the run stops as a cycle after one step,
+        # not after --max-steps, and exits 3 like any unsuccessful run (1
+        # is kept for "no solution within the cap").
+        task = parse_task(Path(PO2).read_bytes()).task
+        policy = Policy.from_assignments(task.owner, [(task.initial, "Go(Father,Home,Home)")])
+        entries = [{"key": key.hex(), "action": a} for key, a in policy.entries.items()]
+        policy_file = tmp_path / "loop.json"
+        policy_file.write_text(json.dumps({"eplan": 1, "owner": "Father", "entries": entries}))
+        code, out, err = run(capsys, "execute", PO2, "--policy", str(policy_file))
+        assert (code, err) == (3, "")
+        assert out.endswith("\noutcome: cutoff (cycle)\n")
+        assert len(out.encode()) < 1024
+        assert "((w" not in out  # trace states are contracted representatives
+
+    def test_step_bound_exits_three(self, capsys, tmp_path):
+        policy_file = tmp_path / "policy.json"
+        run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8",
+            "--format", "json", "--output", str(policy_file))
+        code, out, _ = run(capsys, "execute", PO2, "--policy", str(policy_file),
+                           "--max-steps", "2")
+        assert code == 3 and out.endswith("\noutcome: cutoff (step bound)\n")
+
+
 class TestDot:
     def test_initial_state_dot(self, capsys):
         doc = parse_task(Path(PO2).read_bytes())

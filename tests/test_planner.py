@@ -35,6 +35,7 @@ from eplan import (
     localize,
     parse_task,
     product_update,
+    render_state_line,
     solve_policy,
     solve_sequential,
     validate_plan,
@@ -383,7 +384,7 @@ class TestExecute:
         loop = Policy.from_assignments(po2.owner, [(po2.initial, "Go(Father,Home,Home)")])
         start = EpistemicState(po2.initial.model, {0})
         result = execute(po2, loop, start, max_steps=5)
-        assert result.outcome == "cutoff"
+        assert (result.outcome, result.reason, result.length) == ("cutoff", "cycle", 1)
 
     def test_nondeterministic_outcomes_enumerated(self):
         # A coin flip: two always-applicable designated outcomes that are
@@ -891,6 +892,18 @@ def _run(execution):
     return execution.actions, execution.outcome, execution.reason, keys
 
 
+def _run_to_first_repeat(execution):
+    """``_run`` of an execution cut at its first repeated state key, which
+    then ends it as a cycle cutoff."""
+    actions, outcome, reason, keys = _run(execution)
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return actions[:i], "cutoff", "cycle", keys[: i + 1]
+        seen.add(key)
+    return actions, outcome, reason, keys
+
+
 def owner_class_keys(task, depth):
     """The keys of the owner classes that applicable actions reach within
     ``depth`` steps, in breadth-first order."""
@@ -919,7 +932,12 @@ class TestPolicyWalkOracle:
     """The step-table walks against the recursive walks they replaced
     (``reference_policy``): the same ``ok``, the same violations in order
     and, per execution, the same actions, outcome, reason and state keys;
-    and the same executions from every initial global at four bounds."""
+    and the same executions from every initial global at four bounds.
+    ``execute`` against the loop it replaced, from every initial global
+    with two seeds and a last-successor chooser at two bounds: the same
+    run once the reference is cut at its first repeated key (a cycle),
+    and the same rendered states on a run without one, except on
+    generated tasks."""
 
     def test_reference_copies_are_pinned(self):
         # Copied verbatim from the walks they replaced: edit them only
@@ -935,8 +953,37 @@ class TestPolicyWalkOracle:
         digest = hashlib.sha256(source.encode()).hexdigest()[:16]
         assert digest == "957e13701c974e8e"
 
-    def assert_same(self, task, policy):
-        """Return whether the policy is valid."""
+    def test_execute_reference_is_pinned(self):
+        # Copied verbatim from the loop it replaced: edit it only together
+        # with this pin.
+        source = inspect.getsource(reference_policy.execute)
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        assert digest == "e726d8c6e6f97c84"
+
+    def assert_same_execute(self, task, policy, render):
+        last = lambda options: len(options) - 1  # noqa: E731
+        for start in globals_of(task.initial):
+            for seed, chooser in ((0, None), (1, None), (0, last)):
+                cut = None
+                for max_steps in (3, 100):
+                    got = execute(task, policy, start, seed, max_steps, chooser)
+                    # The bound-3 run is the bound-100 run's prefix (same
+                    # seed, same choices), so a cycle it ends in is the
+                    # longer run's cut too.
+                    if cut is None or cut[2] != "cycle":
+                        expected = reference_policy.execute(
+                            task, policy, start, seed, max_steps, chooser
+                        )
+                        cut = _run_to_first_repeat(expected)
+                    assert _run(got) == cut, (seed, max_steps)
+                    if render and cut[2] != "cycle":  # the reference has no cycle test
+                        rendered = list(map(render_state_line, expected.states))
+                        assert list(map(render_state_line, got.states)) == rendered
+
+    def assert_same(self, task, policy, render=True):
+        """Return whether the policy is valid. With ``render``, acyclic
+        ``execute`` runs must also render their states the same."""
+        self.assert_same_execute(task, policy, render)
         ours = validate_policy(task, policy)
         theirs = reference_policy.validate_policy(task, policy)
         assert ours.ok == theirs.ok
@@ -981,12 +1028,15 @@ class TestPolicyWalkOracle:
             task = gen_task(rng)
             task = localize(task, task.vocab.agents[0])
             policy = solve_policy(task, 4)
+            # A trace state is the step table's representative of its key,
+            # which can have other world names than the reference's state
+            # (16 of 7,411 acyclic runs here), so only keys are compared.
             if policy is not None:
-                solved += self.assert_same(task, policy)
+                solved += self.assert_same(task, policy, render=False)
             keys = owner_class_keys(task, 3)
             for _ in range(4):
                 policy = random_policy(rng, task, keys)
-                invalid += not self.assert_same(task, policy)
+                invalid += not self.assert_same(task, policy, render=False)
                 several += len(validate_policy(task, policy).violations) >= 2
         assert solved > 100 and invalid > 900 and several > 500
 
