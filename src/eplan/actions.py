@@ -97,10 +97,12 @@ class EpistemicAction:
     source event, with top guards stored as None. ``_must`` holds the atoms
     that every designated event's compiled precondition requires (empty when
     one is not compiled): a designated world lacking one of them satisfies no
-    designated event."""
+    designated event. ``_outcomes`` memoizes :func:`_outcome` per label, a
+    cache that only gains entries, when every precondition is compiled."""
 
     __slots__ = (
         "name", "vocab", "events", "designated", "edges", "_pre", "_out", "_must",
+        "_outcomes",
     )
 
     def __init__(
@@ -158,6 +160,7 @@ class EpistemicAction:
         object.__setattr__(self, "edges", tuple(kept))
         object.__setattr__(self, "_pre", tuple(pres))
         object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_outcomes", None if None in pres else {})
         designated_pres = [pres[e] for e in des]
         object.__setattr__(
             self,
@@ -245,13 +248,13 @@ def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
 
 
 def applicable_updates(state: EpistemicState, actions: Iterable[EpistemicAction]):
-    """The product update of ``state`` with each applicable action, in the
-    given order, as (action, update) pairs; consumed lazily.
+    """The pairing (:func:`_pair`) of ``state`` with each applicable action,
+    as (action, shape, pairs) in the given order, consumed lazily.
 
     An action whose required atoms (``_must``) are not shared by every
     designated world's label is skipped without evaluating a precondition;
-    every other action is decided by :func:`product_update` itself. The
-    state must share each action's vocabulary (checked for every action)."""
+    every other action is decided by the pairing itself. The state must
+    share each action's vocabulary (checked for every action)."""
     vocab, labels = state.model.vocab, state.model.labels
     common = frozenset.intersection(*(labels[w] for w in state.designated))
     for action in actions:
@@ -259,82 +262,94 @@ def applicable_updates(state: EpistemicState, actions: Iterable[EpistemicAction]
             _check_shared_vocab(state, action)
         if action._must <= common:
             try:
-                update = product_update(state, action)
+                shape, pairs = _pair(state, action)
             except NotApplicableError:
                 continue
-            yield action, update
-
-
-def _holds(action: EpistemicAction, e: int, model: EpistemicModel, w: int) -> bool:
-    """Event ``e``'s precondition at world ``w``, unchecked: the action
-    validated it over its vocabulary when it was built."""
-    pre = action._pre[e]
-    if pre is None:
-        return _eval(model, w, action.events[e].pre)
-    label = model.labels[w]
-    return pre.positives <= label and not pre.negatives & label
+            yield action, shape, pairs
 
 
 def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:
-    """A designated world with no applicable designated event, or None.
-
-    The state must share the action's vocabulary (checked)."""
-    _check_shared_vocab(state, action)
-    model = state.model
-    designated_events = sorted(action.designated)
-    for w in sorted(state.designated):
-        if not any(_holds(action, e, model, w) for e in designated_events):
-            return w
+    """A designated world with no applicable designated event, or None: the
+    witness the pairing (:func:`_pair`) stops at. The state must share the
+    action's vocabulary (checked)."""
+    try:
+        _pair(state, action)
+    except NotApplicableError as exc:
+        return exc.witness
     return None
 
 
-def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:
-    """The product update: pair worlds with events whose preconditions hold.
+def _outcome(action: EpistemicAction, model: EpistemicModel, w: int) -> tuple:
+    """The events whose precondition holds at world ``w`` (unchecked: the
+    action validated them), in event order, and their post-labels, as two
+    tuples; memoized per label in ``action._outcomes`` when every
+    precondition is compiled."""
+    label = model.labels[w]
+    table = action._outcomes
+    out = None if table is None else table.get(label)
+    if out is None:
+        events = tuple(
+            e for e, (event, pre) in enumerate(zip(action.events, action._pre))
+            if (_eval(model, w, event.pre) if pre is None else pre.holds_in(label))
+        )
+        out = events, tuple(action.events[e].post.apply_to(label) for e in events)
+        if table is not None:
+            table[label] = out
+    return out
 
-    An agent edge links (w,e) to (w',e') when w relates to w' and there is
-    an agent edge e -> e' whose guard holds at the source world w in the
-    pre-update model; postconditions delete negatives then add positives.
-    Preconditions and guards are evaluated unchecked. A designated world
-    paired with no designated event is reported as the witness of
-    :class:`NotApplicableError`, after the shared-vocabulary check.
-    """
+
+def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]:
+    """The product update's successor shape (its labels, designated set and
+    per-agent edge sets, which fix its contraction up to world names, its
+    key and its owner classes) and its (world, event) pairs, in order.
+
+    Designated worlds are paired first, in index order, so an inapplicable
+    action raises before any other world is. When every world takes one
+    event and the action has no explicit event edges, product world i is
+    world i and an edge survives when both ends took the same event."""
     _check_shared_vocab(state, action)
     model = state.model
-    vocab = model.vocab
-    events = range(len(action.events))
-
-    # slot[e][w]: the product index of (w, e), or None when e's
-    # precondition fails at w. Pairs are numbered world-major.
-    slot: list[list[int | None]] = [[None] * model.n for _ in events]
-    pairs: list[tuple[int, int]] = []
-    for w in range(model.n):
-        for e in events:
-            if _holds(action, e, model, w):
-                slot[e][w] = len(pairs)
-                pairs.append((w, e))
-    designated_events = sorted(action.designated)
+    agents = model.vocab.agents
+    outcomes: list = [None] * model.n
     for w in sorted(state.designated):
-        if all(slot[e][w] is None for e in designated_events):
+        outcomes[w] = _outcome(action, model, w)
+        if action.designated.isdisjoint(outcomes[w][0]):
             raise NotApplicableError(
                 f"action {action.name} not applicable: designated world"
                 f" {model.world_names[w]} satisfies no designated event's"
                 " precondition",
                 witness=w,
             )
+    for w, out in enumerate(outcomes):
+        if out is None:
+            outcomes[w] = _outcome(action, model, w)
 
-    names = [
-        f"({model.world_names[w]},{action.events[e].name})" for (w, e) in pairs
-    ]
-    labels = [action.events[e].post.apply_to(model.labels[w]) for (w, e) in pairs]
+    taken = [events[0] if len(events) == 1 else None for events, _ in outcomes]
+    if not action.edges and None not in taken:
+        same = taken.count(taken[0]) == len(taken)  # keep every edge set as it is
+        edges = tuple([
+            model.edges[agent] if same
+            else frozenset([(u, v) for (u, v) in model.edges[agent] if taken[u] == taken[v]])
+            for agent in agents
+        ])
+        labels = tuple([post[0] for _, post in outcomes])
+        return (labels, state.designated, edges), tuple(enumerate(taken))
+
+    # Pairs are numbered world-major; slot[e][w] is the product index of
+    # (w, e), or None when e's precondition fails at w.
+    pairs = tuple((w, e) for w, (events, _) in enumerate(outcomes) for e in events)
+    labels = tuple(label for _, post in outcomes for label in post)
+    slot: list[list[int | None]] = [[None] * model.n for _ in action.events]
+    for i, (w, e) in enumerate(pairs):
+        slot[e][w] = i
 
     # Per event pair: e -> e links the pairs of each explicit world edge; a
     # guarded e -> t links each pair whose guard holds to its successors'.
-    edges: dict[Agent, set[tuple[int, int]]] = {}
-    for agent in vocab.agents:
+    edges = []
+    for agent in agents:
         out = action._out[agent.index]
         linked: set[tuple[int, int]] = set()
-        for e in events:
-            source = slot[e]
+        for e, source in enumerate(slot):
             for (u, v) in model.edges[agent]:
                 if source[u] is not None and source[v] is not None:
                     linked.add((source[u], source[v]))
@@ -346,16 +361,35 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
                     for v in model.successors(agent, w):
                         if target[v] is not None:
                             linked.add((i, target[v]))
-        edges[agent] = linked
+        edges.append(frozenset(linked))
 
-    designated = {
-        slot[e][w]
-        for w in state.designated
-        for e in designated_events
-        if slot[e][w] is not None
-    }
-    new_model = EpistemicModel(vocab, names, labels, edges)
-    return EpistemicState(new_model, designated)
+    designated = frozenset(
+        slot[e][w] for w in state.designated for e in action.designated if slot[e][w] is not None
+    )
+    return (labels, designated, tuple(edges)), pairs
+
+
+def _materialize(state: EpistemicState, action: EpistemicAction, shape, pairs) -> EpistemicState:
+    """The successor that :func:`_pair` describes, its model built
+    unchecked; world (w,e) is named ``(<w's name>,<e's name>)``."""
+    model = state.model
+    labels, designated, edges = shape
+    names = tuple(f"({model.world_names[w]},{action.events[e].name})" for w, e in pairs)
+    edges = dict(zip(model.vocab.agents, edges))
+    return EpistemicState(EpistemicModel._trusted(model.vocab, names, labels, edges), designated)
+
+
+def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:
+    """The product update: pair worlds with events whose preconditions hold.
+
+    An agent edge links (w,e) to (w',e') when w relates to w' and there is
+    an agent edge e -> e' whose guard holds at the source world w in the
+    pre-update model; postconditions delete negatives then add positives.
+    Preconditions and guards are evaluated unchecked. A designated world
+    paired with no designated event is reported as the witness of
+    :class:`NotApplicableError`, after the shared-vocabulary check. The
+    pairing (:func:`_pair`) followed by its materialization."""
+    return _materialize(state, action, *_pair(state, action))
 
 
 def local_action(action: EpistemicAction, agent: Agent) -> EpistemicAction:

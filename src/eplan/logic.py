@@ -43,7 +43,8 @@ class Vocabulary:
     order, which fixes every deterministic ordering downstream.
     """
 
-    __slots__ = ("atoms", "agents", "_atom_by_name", "_agent_by_name", "_atom_set")
+    __slots__ = (
+        "atoms", "agents", "_atom_by_name", "_agent_by_name", "_atom_set", "_label_keys")
 
     def __init__(self, atom_names: Iterable[str], agent_names: Iterable[str]):
         atoms = []
@@ -65,6 +66,7 @@ class Vocabulary:
         object.__setattr__(self, "_atom_by_name", seen)
         object.__setattr__(self, "_agent_by_name", aseen)
         object.__setattr__(self, "_atom_set", frozenset(atoms))
+        object.__setattr__(self, "_label_keys", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Vocabulary is immutable")
@@ -80,6 +82,13 @@ class Vocabulary:
             return self.agents[self._agent_by_name[name]]
         except KeyError:
             raise VocabularyError(f"unknown agent: {name}") from None
+
+    def _label_key(self, label: frozenset[Atom]) -> tuple[int, ...]:
+        """The label's atom indices, sorted; cached, as a function of the label."""
+        key = self._label_keys.get(label)
+        if key is None:
+            key = self._label_keys[label] = tuple(sorted(a.index for a in label))
+        return key
 
     def has_atom(self, name: str) -> bool:
         return name in self._atom_by_name

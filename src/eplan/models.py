@@ -66,10 +66,22 @@ class EpistemicModel:
             if agent not in edge_map:
                 raise VocabularyError(f"agent {agent.name} not in vocabulary")
 
+        self._fill(vocab, tuple(world_names), tuple(frozen_labels), edge_map)
+
+    @classmethod
+    def _trusted(cls, vocab, world_names, labels, edges) -> "EpistemicModel":
+        """A model the library built itself, unchecked: a tuple of names, a
+        tuple of frozen labels over ``vocab`` and, per agent of ``vocab`` in
+        order, a frozenset of in-range, non-reflexive edges."""
+        model = object.__new__(cls)
+        model._fill(vocab, world_names, labels, edges)
+        return model
+
+    def _fill(self, vocab, world_names, labels, edges) -> None:
         object.__setattr__(self, "vocab", vocab)
-        object.__setattr__(self, "world_names", tuple(world_names))
-        object.__setattr__(self, "labels", tuple(frozen_labels))
-        object.__setattr__(self, "edges", edge_map)
+        object.__setattr__(self, "world_names", world_names)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_succ", {})
         object.__setattr__(self, "_reach", {})
         object.__setattr__(self, "_minimal", False)
@@ -307,17 +319,6 @@ def _refine(
         block = new_block
 
 
-def _label_blocks(worlds: Sequence[int], labels) -> dict[int, int]:
-    key_to_id: dict[tuple, int] = {}
-    out: dict[int, int] = {}
-    for w in worlds:
-        key = tuple(sorted(a.index for a in labels[w]))
-        if key not in key_to_id:
-            key_to_id[key] = len(key_to_id)
-        out[w] = key_to_id[key]
-    return out
-
-
 def bisim_contract(state: EpistemicState) -> EpistemicState:
     """Quotient by the largest bisimulation on the designated-reachable part.
 
@@ -351,7 +352,9 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         def succ(agent: Agent, w: int):
             return [v for v in model.successors(agent, w) if v in in_reach]
 
-        block = _refine(reach, labels, succ, model.vocab.agents, _label_blocks(reach, labels))
+        ids: dict[frozenset[Atom], int] = {}  # one initial block per distinct label
+        by_label = {w: ids.setdefault(labels[w], len(ids)) for w in reach}
+        block = _refine(reach, labels, succ, model.vocab.agents, by_label)
 
         # One quotient world per block, ordered by smallest member index.
         members: dict[int, list[int]] = {}
@@ -360,15 +363,15 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         ordered_blocks = sorted(members.values(), key=lambda ws: min(ws))
     block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
 
-    names = [model.world_names[min(ws)] for ws in ordered_blocks]
-    edges: dict[Agent, set[Edge]] = {agent: set() for agent in model.vocab.agents}
-    for agent in model.vocab.agents:
-        for (u, v) in model.edges[agent]:
-            if u in block_of and v in block_of and block_of[u] != block_of[v]:
-                edges[agent].add((block_of[u], block_of[v]))
+    names = tuple(model.world_names[min(ws)] for ws in ordered_blocks)
+    edges = {
+        agent: frozenset((block_of[u], block_of[v]) for (u, v) in model.edges[agent]
+                         if u in block_of and v in block_of and block_of[u] != block_of[v])
+        for agent in model.vocab.agents
+    }
     designated = {block_of[w] for w in state.designated}
-    contracted = EpistemicModel(
-        model.vocab, names, [labels[min(ws)] for ws in ordered_blocks], edges
+    contracted = EpistemicModel._trusted(
+        model.vocab, names, tuple(labels[min(ws)] for ws in ordered_blocks), edges
     )
     object.__setattr__(contracted, "_minimal", True)
     out = EpistemicState(contracted, designated)
@@ -390,11 +393,9 @@ def canonical_key(state: EpistemicState) -> bytes:
     model = c.model
     n = model.n
     agents = model.vocab.agents
+    label_keys = [model.vocab._label_key(label) for label in model.labels]
 
-    sigs: list[tuple] = [
-        (tuple(sorted(a.index for a in model.labels[w])), w in c.designated)
-        for w in range(n)
-    ]
+    sigs: list[tuple] = [(label_keys[w], w in c.designated) for w in range(n)]
     rank = _ranks(sigs)
     for _ in range(n):
         if max(rank) == n - 1:
@@ -420,10 +421,7 @@ def canonical_key(state: EpistemicState) -> bytes:
         len(model.vocab.atoms),
         len(agents),
         n,
-        tuple(
-            (tuple(sorted(a.index for a in model.labels[w])), w in c.designated)
-            for w in order
-        ),
+        tuple((label_keys[w], w in c.designated) for w in order),
         tuple(
             tuple(sorted((position[u], position[v]) for (u, v) in model.edges[agent]))
             for agent in agents

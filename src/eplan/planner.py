@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .actions import (
     EpistemicAction,
+    _materialize,
     applicable,
     applicable_updates,
     local_action,
@@ -141,17 +142,16 @@ def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | No
 
     Breadth-first over product updates, contracting at every expansion and
     deduplicating by canonical key, so bisimilar states are explored once.
-    A successor whose shape was yielded before is dropped uncontracted:
-    the search has already seen its key.
+    A successor whose shape was yielded before is dropped unbuilt: the
+    search has already seen its key.
     """
     shapes: set[tuple] = set()
 
     def expand(state: EpistemicState):
-        for action, update in applicable_updates(state, task.actions):
-            shape = _shape(update)
+        for action, shape, pairs in applicable_updates(state, task.actions):
             if shape not in shapes:
                 shapes.add(shape)
-                yield action.name, bisim_contract(update)
+                yield action.name, bisim_contract(_materialize(state, action, shape, pairs))
 
     steps = breadth_first(
         bisim_contract(task.initial),
@@ -274,15 +274,6 @@ def _owner_view(state: EpistemicState, owner: Agent) -> tuple[EpistemicState, by
     return view, canonical_key(view)
 
 
-def _shape(state: EpistemicState) -> tuple:
-    """A state up to world names: its labels, designated set and per-agent
-    edges. Its contraction (up to world names), canonical key and owner
-    classes depend on nothing else, so a search works them out once per
-    shape."""
-    model = state.model
-    return model.labels, state.designated, tuple(model.edges[a] for a in model.vocab.agents)
-
-
 def _owner_classes(
     state: EpistemicState, owner: Agent
 ) -> list[tuple[bytes, EpistemicState]]:
@@ -347,7 +338,7 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
 
     # Roots are distinct and a child is queued only when new, so each node
     # is expanded at most once. A successor shape seen before has all its
-    # child keys among the nodes already, so it reuses them uncontracted.
+    # child keys among the nodes already, so it reuses them unbuilt.
     roots = _owner_classes(task.initial, owner)
     nodes = {key: _Node(state, 0, eval_state(state, task.goal)) for key, state in roots}
     queue: deque[bytes] = deque(nodes)
@@ -356,9 +347,9 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         node = nodes[queue.popleft()]
         if node.goal or node.depth >= depth_cap:
             continue
-        for action, update in applicable_updates(node.state, task.actions):
-            shape = _shape(update)
+        for action, shape, pairs in applicable_updates(node.state, task.actions):
             if shape not in children:
+                update = _materialize(node.state, action, shape, pairs)
                 classes = _owner_classes(bisim_contract(update), owner)
                 children[shape] = tuple(key for key, _ in classes)
                 for child_key, child_state in classes:
@@ -534,6 +525,8 @@ def execute(
     misfires, and with cutoff when a state repeats or after ``max_steps``."""
     if not start.is_global:
         raise ModelError("execution starts from a global state")
+    if max_steps < 0:
+        raise ModelError("step bound must be non-negative")
     if chooser is None:
         rng = random.Random(seed)
         chooser = lambda options: rng.randrange(len(options))  # noqa: E731
@@ -553,6 +546,8 @@ def enumerate_executions(
     current path is reported as a cutoff (the policy loops)."""
     if not start.is_global:
         raise ModelError("execution starts from a global state")
+    if max_steps < 0:
+        raise ModelError("step bound must be non-negative")
     graph = _Graph(task, policy)
     return graph.executions(graph.add(bisim_contract(start)), max_steps)
 

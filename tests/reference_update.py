@@ -11,6 +11,12 @@ stood before the single multi-source search and the contracted-state mark
 model, without the per-world cache), so the reference contraction does not
 run the reachability code under test.
 
+``event_pair_product_update`` is the product update as it stood before
+the pairing (``actions._pair``) and materialization
+(``actions._materialize``) split: per-world precondition tests, edges built
+per event pair and the checked ``EpistemicModel`` constructor. The shape
+oracle in ``tests/test_planner.py`` compares materialized successors with it.
+
 ``applicable_actions`` is the search's action filter as it stood before
 the product update decided applicability: the required-atom skip, then
 one ``applicable`` test per remaining action. Tests use it to list the
@@ -174,6 +180,86 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
         for w in state.designated
         for e in sorted(action.designated)
         if (w, e) in index
+    }
+    new_model = EpistemicModel(vocab, names, labels, edges)
+    return EpistemicState(new_model, designated)
+
+
+def _holds(action: EpistemicAction, e: int, model: EpistemicModel, w: int) -> bool:
+    """Event ``e``'s precondition at world ``w``, unchecked: the action
+    validated it over its vocabulary when it was built."""
+    pre = action._pre[e]
+    if pre is None:
+        return _eval(model, w, action.events[e].pre)
+    label = model.labels[w]
+    return pre.positives <= label and not pre.negatives & label
+
+
+def event_pair_product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:
+    """The product update: pair worlds with events whose preconditions hold.
+
+    An agent edge links (w,e) to (w',e') when w relates to w' and there is
+    an agent edge e -> e' whose guard holds at the source world w in the
+    pre-update model; postconditions delete negatives then add positives.
+    Preconditions and guards are evaluated unchecked. A designated world
+    paired with no designated event is reported as the witness of
+    :class:`NotApplicableError`, after the shared-vocabulary check.
+    """
+    _check_shared_vocab(state, action)
+    model = state.model
+    vocab = model.vocab
+    events = range(len(action.events))
+
+    # slot[e][w]: the product index of (w, e), or None when e's
+    # precondition fails at w. Pairs are numbered world-major.
+    slot: list[list[int | None]] = [[None] * model.n for _ in events]
+    pairs: list[tuple[int, int]] = []
+    for w in range(model.n):
+        for e in events:
+            if _holds(action, e, model, w):
+                slot[e][w] = len(pairs)
+                pairs.append((w, e))
+    designated_events = sorted(action.designated)
+    for w in sorted(state.designated):
+        if all(slot[e][w] is None for e in designated_events):
+            raise NotApplicableError(
+                f"action {action.name} not applicable: designated world"
+                f" {model.world_names[w]} satisfies no designated event's"
+                " precondition",
+                witness=w,
+            )
+
+    names = [
+        f"({model.world_names[w]},{action.events[e].name})" for (w, e) in pairs
+    ]
+    labels = [action.events[e].post.apply_to(model.labels[w]) for (w, e) in pairs]
+
+    # Per event pair: e -> e links the pairs of each explicit world edge; a
+    # guarded e -> t links each pair whose guard holds to its successors'.
+    edges: dict[Agent, set[tuple[int, int]]] = {}
+    for agent in vocab.agents:
+        out = action._out[agent.index]
+        linked: set[tuple[int, int]] = set()
+        for e in events:
+            source = slot[e]
+            for (u, v) in model.edges[agent]:
+                if source[u] is not None and source[v] is not None:
+                    linked.add((source[u], source[v]))
+            for t, guard in out[e]:
+                target = slot[t]
+                for w, i in enumerate(source):
+                    if i is None or (guard is not None and not _eval(model, w, guard)):
+                        continue
+                    for v in model.successors(agent, w):
+                        if target[v] is not None:
+                            linked.add((i, target[v]))
+        edges[agent] = linked
+
+    designated = {
+        slot[e][w]
+        for w in state.designated
+        for e in designated_events
+        if slot[e][w] is not None
     }
     new_model = EpistemicModel(vocab, names, labels, edges)
     return EpistemicState(new_model, designated)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import eplan.actions as actions_module
 import reference_update as reference
 from conftest import (
     TASK_FILES,
@@ -46,7 +47,7 @@ from eplan import (
     product_update,
     skip_action,
 )
-from eplan.actions import applicable_updates, inapplicable_witness
+from eplan.actions import _materialize, applicable_updates, inapplicable_witness
 from reference_update import applicable_actions, bisimilar
 
 
@@ -76,6 +77,35 @@ class TestApplicable:
         with pytest.raises(NotApplicableError) as exc:
             product_update(po2.initial, wrap)
         assert exc.value.witness in po2.initial.designated
+
+    def test_designated_worlds_are_paired_first(self, monkeypatch):
+        # The designated worlds' preconditions are evaluated first, in index
+        # order, so an inapplicable action stops at its witness after two
+        # evaluations (both events at world 1), where pairing every world
+        # with every event first took eight.
+        vocab = Vocabulary(["p", "q"], ["a"])
+        p, q, a = vocab.atom("p"), vocab.atom("q"), vocab.agent("a")
+        model = _model(vocab, [{p}, set(), {p}, {p, q}], {a: [(0, 1), (1, 0), (2, 3), (3, 2)]})
+        bare = LiteralConjunction()
+        action = EpistemicAction(
+            "modal", vocab,
+            [Event("yes", Knows(a, Prop(p)), bare), Event("no", Knows(a, Not(Prop(p))), bare)],
+            {0, 1},
+        )
+        evaluated = []
+        original = actions_module._eval
+
+        def counted(model, w, phi):
+            evaluated.append(w)
+            return original(model, w, phi)
+
+        monkeypatch.setattr(actions_module, "_eval", counted)
+        with pytest.raises(NotApplicableError) as exc:
+            product_update(EpistemicState(model, {1, 2}), action)
+        assert exc.value.witness == 1 and evaluated == [1, 1]
+        evaluated.clear()
+        assert product_update(EpistemicState(model, {2, 3}), action).model.n == 2
+        assert evaluated == [2, 2, 3, 3, 0, 0, 1, 1]
 
     @pytest.mark.parametrize("pre", ["p", "q"])
     @pytest.mark.parametrize(
@@ -594,7 +624,7 @@ def _filtered(state, actions):
 
 def _updated(state, actions):
     """The actions ``applicable_updates`` finds applicable."""
-    return [action for action, _ in applicable_updates(state, actions)]
+    return [action for action, _, _ in applicable_updates(state, actions)]
 
 
 def _applicability_cases():
@@ -656,8 +686,8 @@ class TestApplicableActions:
 
     def test_generated_tasks_match_per_action_test(self):
         # Against the per-action test and the filter the searches used
-        # before (``reference_update.applicable_actions``); each update is
-        # the product update of its action.
+        # before (``reference_update.applicable_actions``); each pairing
+        # materializes to the product update of its action.
         rng = random.Random(73)
         for _ in range(500):
             task = gen_task(rng, max_agents=3, max_worlds=4)
@@ -669,8 +699,8 @@ class TestApplicableActions:
                 expected = _filtered(state, task.actions)
                 assert applicable_actions(state, task.actions) == expected
                 assert _updated(state, task.actions) == expected
-                for action, update in applicable_updates(state, task.actions):
-                    assert update == product_update(state, action)
+                for action, shape, pairs in applicable_updates(state, task.actions):
+                    assert _materialize(state, action, shape, pairs) == product_update(state, action)
 
     def test_mismatched_vocabulary_raises_even_when_filtered(self):
         states, actions = _applicability_cases()

@@ -360,6 +360,17 @@ class TestExecute:
                            "--max-steps", "2")
         assert code == 3 and out.endswith("\noutcome: cutoff (step bound)\n")
 
+    def test_negative_step_bound_exits_two(self, capsys, tmp_path):
+        # Rejected with a diagnostic, as a negative --max-depth is, before
+        # any state is printed.
+        policy_file = tmp_path / "policy.json"
+        run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8",
+            "--format", "json", "--output", str(policy_file))
+        code, out, err = run(capsys, "execute", PO2, "--policy", str(policy_file),
+                             "--max-steps", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: step bound must be non-negative\n"
+
 
 class TestDot:
     def test_initial_state_dot(self, capsys):

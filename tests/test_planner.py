@@ -13,6 +13,7 @@ import reference_policy
 import reference_update
 from conftest import TASK_FILES, TWO_OFFICE_PLAN, chain_document, gen_task, load_doc
 from eplan import (
+    EpistemicModel,
     EpistemicState,
     EpistemicTask,
     Knows,
@@ -103,11 +104,12 @@ class TestLocalize:
 
 def count_calls(monkeypatch):
     """Count the calls of a few library functions, through every module
-    binding, and of ``EpistemicModel.closure``."""
+    binding, and of ``EpistemicModel.closure`` and the checked
+    ``EpistemicModel.__init__`` (``init``)."""
     modules = (planner, actions_module, models_module)
-    names = ("applicable", "local_state", "globals_of", "product_update",
-             "bisim_contract", "canonical_key")
-    calls = dict.fromkeys(names + ("closure",), 0)
+    names = ("applicable", "local_state", "globals_of", "product_update", "_pair",
+             "_materialize", "bisim_contract", "canonical_key")
+    calls = dict.fromkeys(names + ("closure", "init"), 0)
     for name in names:
         original = next(vars(m)[name] for m in modules if name in vars(m))
 
@@ -125,6 +127,13 @@ def count_calls(monkeypatch):
         return closure(self, *args)
 
     monkeypatch.setattr(models_module.EpistemicModel, "closure", counted_closure)
+    init = models_module.EpistemicModel.__init__
+
+    def counted_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(models_module.EpistemicModel, "__init__", counted_init)
     return calls
 
 
@@ -147,12 +156,16 @@ class TestSolveSequential:
     def test_search_counts(self, monkeypatch):
         # A successor shape yielded before is dropped uncontracted: 2,638
         # contractions, 1,319 keys and 1,318 ``applicable`` calls before.
+        # Each of the 1,318 pairings was a full ``product_update`` before;
+        # now only a new shape's successor is built, by the unchecked
+        # constructor.
         task = parse_task(offices_document(5)).task
         calls = count_calls(monkeypatch)
         plan = solve_sequential(task, 13)
         assert plan is not None and len(plan) == 12
         assert calls == {
-            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 1318,
+            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 0,
+            "_pair": 1318, "_materialize": 273, "init": 0,
             "bisim_contract": 548, "canonical_key": 274, "closure": 274,
         }
 
@@ -255,13 +268,16 @@ class TestSolvePolicy:
         # (1,354 and 3,367 before); each successor shape is contracted,
         # split and keyed once (2,933 contractions and 1,429 keys before),
         # and one closure search serves each owner class (4,871 closures
-        # before).
+        # before). Of the 1,358 pairings (each a full ``product_update``
+        # before), only the new shapes' successors are built, by the
+        # unchecked constructor.
         task = parse_task(offices_document(5)).task
         calls = count_calls(monkeypatch)
         policy = solve_policy(task, 13)
         assert policy is not None and len(policy) == 16
         assert calls == {
-            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 1358,
+            "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 0,
+            "_pair": 1358, "_materialize": 273, "init": 0,
             "bisim_contract": 773, "canonical_key": 349, "closure": 773,
         }
 
@@ -385,6 +401,18 @@ class TestExecute:
         start = EpistemicState(po2.initial.model, {0})
         result = execute(po2, loop, start, max_steps=5)
         assert (result.outcome, result.reason, result.length) == ("cutoff", "cycle", 1)
+
+    def test_negative_step_bound_rejected(self, po2):
+        # A negative bound is an input error, as a negative depth cap is;
+        # zero is the empty run.
+        policy = solve_policy(po2, 8)
+        start = EpistemicState(po2.initial.model, {1})
+        for walk in (execute, enumerate_executions):
+            with pytest.raises(ModelError, match="step bound must be non-negative"):
+                walk(po2, policy, start, max_steps=-1)
+        assert execute(po2, policy, start, max_steps=0).outcome == "cutoff"
+        (run,) = enumerate_executions(po2, policy, start, max_steps=0)
+        assert (run.outcome, run.reason, run.length) == ("cutoff", "step bound", 0)
 
     def test_nondeterministic_outcomes_enumerated(self):
         # A coin flip: two always-applicable designated outcomes that are
@@ -803,11 +831,11 @@ class TestOwnerClassesOracle:
 
 
 def search_successors(task, depth):
-    """The product updates of a breadth-first walk ``depth`` steps deep
-    over distinct contracted states: each state, its globals and its agents'
-    local views take every applicable action. Globals and views share
-    their state's model, so successors of equal labels and edges but other
-    designated sets are among them."""
+    """The (source, action) pairs of a breadth-first walk ``depth`` steps
+    deep over distinct contracted states: each state, its globals and its
+    agents' local views take every applicable action. Globals and views
+    share their state's model, so successors of equal labels and edges but
+    other designated sets are among them."""
     level = [bisim_contract(task.initial)]
     seen = {canonical_key(level[0])}
     for _ in range(depth):
@@ -817,9 +845,8 @@ def search_successors(task, depth):
             sources += [local_state(state, agent) for agent in task.vocab.agents]
             for source in sources:
                 for action in applicable_actions(source, task.actions):
-                    succ = product_update(source, action)
-                    yield succ
-                    contracted = bisim_contract(succ)
+                    yield source, action
+                    contracted = bisim_contract(product_update(source, action))
                     key = canonical_key(contracted)
                     if key not in seen:
                         seen.add(key)
@@ -827,18 +854,45 @@ def search_successors(task, depth):
         level = nxt
 
 
+def state_shape(state):
+    """A state up to world names: its labels, designated set and per-agent
+    edges, which is what the pairing reports as the successor's shape."""
+    model = state.model
+    return model.labels, state.designated, tuple(model.edges[a] for a in model.vocab.agents)
+
+
 class TestShapeOracle:
-    """What the searches reuse per successor shape (``planner._shape``)
-    against working it out again: equal shapes give equal canonical keys
-    and equal owner-class keys for every agent; and the sequential search
-    against the one that contracted and keyed every successor
+    """The pairing step (``actions._pair``) against the successor it
+    describes, and what the searches reuse per successor shape against
+    working it out again. Each pairing's materialized successor
+    (``actions._materialize``) equals, world names included, the product
+    update before the split (``reference_update.event_pair_product_update``),
+    and the pairing's shape is that successor's labels, designated set and
+    per-agent edges. Equal shapes give equal canonical keys and equal
+    owner-class keys for every agent. The sequential search gives the plans
+    of the one that contracted and keyed every successor
     (``reference_policy.solve_sequential``)."""
+
+    def test_reference_copy_is_pinned(self):
+        # Copied verbatim from the product update before the split (only
+        # the name changed): edit it only together with this pin.
+        source = "".join(
+            inspect.getsource(fn)
+            for fn in (reference_update._holds, reference_update.event_pair_product_update)
+        )
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        assert digest == "49ac7bcf7f6de6a8"
 
     def assert_shapes_decide(self, task, depth):
         """Return (successors, successors whose shape came before)."""
         seen = {}
         total = repeats = 0
-        for succ in search_successors(task, depth):
+        for source, action in search_successors(task, depth):
+            shape, pairs = actions_module._pair(source, action)
+            succ = actions_module._materialize(source, action, shape, pairs)
+            expected = reference_update.event_pair_product_update(source, action)
+            assert succ == expected and succ.model.world_names == expected.model.world_names
+            assert shape == state_shape(succ)
             contracted = bisim_contract(succ)
             facts = (
                 canonical_key(contracted),
@@ -847,7 +901,6 @@ class TestShapeOracle:
                     for agent in task.vocab.agents
                 ],
             )
-            shape = planner._shape(succ)
             total += 1
             if shape in seen:
                 assert seen[shape] == facts
@@ -884,6 +937,49 @@ class TestShapeOracle:
             self.assert_same_plans(task, range(7))
             solved += solve_sequential(task, 6) is not None
         assert repeats > total // 10 and solved > 100
+
+
+class TestTrustedModels:
+    """Every model a solve builds with the unchecked constructor
+    (``EpistemicModel._trusted``: products and contraction quotients),
+    rebuilt by the checked constructor, is the same model."""
+
+    def record(self, monkeypatch):
+        built = []
+        trusted = models_module.EpistemicModel._trusted
+
+        def recording(*args):
+            built.append(trusted(*args))
+            return built[-1]
+
+        monkeypatch.setattr(models_module.EpistemicModel, "_trusted", staticmethod(recording))
+        return built
+
+    def assert_checked(self, built):
+        for model in built:
+            assert type(model.world_names) is tuple and type(model.labels) is tuple
+            assert all(type(label) is frozenset for label in model.labels)
+            assert list(model.edges) == list(model.vocab.agents)
+            assert all(type(edges) is frozenset for edges in model.edges.values())
+            checked = EpistemicModel(model.vocab, model.world_names, model.labels, model.edges)
+            assert checked == model
+
+    def test_offices(self, monkeypatch):
+        task = parse_task(offices_document(3)).task
+        built = self.record(monkeypatch)
+        assert solve_sequential(task, 9) is not None and solve_policy(task, 9) is not None
+        assert len(built) > 100
+        self.assert_checked(built)
+
+    def test_generated_tasks(self, monkeypatch):
+        rng = random.Random(101)
+        built = self.record(monkeypatch)
+        for _ in range(200):
+            task = gen_task(rng, max_agents=3, max_worlds=4)
+            solve_sequential(task, 4)
+            solve_policy(localize(task, task.vocab.agents[-1]), 3)
+        assert len(built) > 1000
+        self.assert_checked(built)
 
 
 def _run(execution):
