@@ -11,6 +11,7 @@ never holds only in that the latter round-trips through the DSL.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,52 +39,27 @@ from .models import EpistemicModel, EpistemicState
 log = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Event:
     """A possible outcome of an action: what must hold, what changes."""
 
-    __slots__ = ("name", "pre", "post")
-
-    def __init__(self, name: str, pre: Formula, post: LiteralConjunction):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Event is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.name == other.name and self.pre == other.pre and self.post == other.post
+    name: str
+    pre: Formula
+    post: LiteralConjunction
 
     def __repr__(self) -> str:
         return f"Event({self.name!r})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EdgeGuard:
     """A directed agent edge between events, present when ``condition``
     holds at the source world of the pair being linked."""
 
-    __slots__ = ("agent", "source", "target", "condition")
-
-    def __init__(self, agent: Agent, source: int, target: int, condition: Formula = TOP):
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "condition", condition)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("EdgeGuard is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeGuard):
-            return NotImplemented
-        return (
-            self.agent == other.agent
-            and self.source == other.source
-            and self.target == other.target
-            and self.condition == other.condition
-        )
+    agent: Agent
+    source: int
+    target: int
+    condition: Formula = TOP
 
     def __repr__(self) -> str:
         return f"EdgeGuard({self.agent.name}, {self.source}->{self.target})"
@@ -92,6 +68,7 @@ class EdgeGuard:
 class EpistemicAction:
     """An action model plus a non-empty set of designated events.
 
+    Not a dataclass: most of its slots are tables compiled from the arguments.
     When it is built, each precondition of literal-conjunction shape is
     compiled to its literals, and each agent's guarded edges are indexed by
     source event, with top guards stored as None. ``_must`` holds the atoms

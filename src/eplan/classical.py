@@ -9,6 +9,7 @@ IsAgent/IsLocation-style atoms through the state.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
@@ -32,17 +33,15 @@ Valuation = frozenset
 Node = TypeVar("Node")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SchemaAtom:
     """A predicate applied to parameters and/or constants, e.g. At(agt, from)."""
 
-    __slots__ = ("predicate", "args")
+    predicate: str
+    args: tuple[str, ...]
 
-    def __init__(self, predicate: str, args: Sequence[str]):
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("SchemaAtom is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "args", tuple(self.args))
 
     def ground_name(self, binding: Mapping[str, str]) -> str:
         resolved = [binding.get(a, a) for a in self.args]
@@ -50,129 +49,95 @@ class SchemaAtom:
             return self.predicate
         return f"{self.predicate}({','.join(resolved)})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchemaAtom):
-            return NotImplemented
-        return self.predicate == other.predicate and self.args == other.args
-
-    def __hash__(self) -> int:
-        return hash((self.predicate, self.args))
-
     def __repr__(self) -> str:
         return self.ground_name({})
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SchemaLiterals:
     """Positive and negative schema atoms of a precondition or effect."""
 
-    __slots__ = ("positives", "negatives")
+    positives: tuple[SchemaAtom, ...] = ()
+    negatives: tuple[SchemaAtom, ...] = ()
 
-    def __init__(self, positives: Iterable[SchemaAtom] = (), negatives: Iterable[SchemaAtom] = ()):
-        object.__setattr__(self, "positives", tuple(positives))
-        object.__setattr__(self, "negatives", tuple(negatives))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("SchemaLiterals is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "positives", tuple(self.positives))
+        object.__setattr__(self, "negatives", tuple(self.negatives))
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ActionSchema:
     """A named, parameterized pre/effect pair over sorted variables."""
 
-    __slots__ = ("name", "parameters", "precondition", "effect")
+    name: str
+    parameters: tuple[tuple[str, str], ...]
+    precondition: SchemaLiterals
+    effect: SchemaLiterals
 
-    def __init__(
-        self,
-        name: str,
-        parameters: Sequence[tuple[str, str]],
-        precondition: SchemaLiterals,
-        effect: SchemaLiterals,
-    ):
-        declared = {var for var, _ in parameters}
-        if len(declared) != len(parameters):
-            raise ModelError(f"schema {name}: duplicate parameter names")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", tuple(parameters))
-        object.__setattr__(self, "precondition", precondition)
-        object.__setattr__(self, "effect", effect)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("ActionSchema is immutable")
+    def __post_init__(self):
+        parameters = tuple(self.parameters)
+        if len({var for var, _ in parameters}) != len(parameters):
+            raise ModelError(f"schema {self.name}: duplicate parameter names")
+        object.__setattr__(self, "parameters", parameters)
 
     def __repr__(self) -> str:
         params = ",".join(f"{v}:{s}" for v, s in self.parameters)
         return f"ActionSchema({self.name}({params}))"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class GroundAction:
     """A propositional action: a precondition/postcondition pair."""
 
-    __slots__ = ("name", "pre", "post")
-
-    def __init__(self, name: str, pre: LiteralConjunction, post: LiteralConjunction):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("GroundAction is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundAction):
-            return NotImplemented
-        return self.name == other.name and self.pre == other.pre and self.post == other.post
+    name: str
+    pre: LiteralConjunction
+    post: LiteralConjunction
 
     def __repr__(self) -> str:
         return f"GroundAction({self.name!r})"
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ConditionalAction:
     """A non-empty set of ground events; mutually consistent preconditions
     are read as nondeterminism (only one event takes place)."""
 
-    __slots__ = ("name", "events")
+    name: str
+    events: tuple[GroundAction, ...]
 
-    def __init__(self, name: str, events: Sequence[GroundAction]):
+    def __post_init__(self):
+        events = tuple(self.events)
         if not events:
-            raise ModelError(f"conditional action {name}: needs at least one event")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "events", tuple(events))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("ConditionalAction is immutable")
+            raise ModelError(f"conditional action {self.name}: needs at least one event")
+        object.__setattr__(self, "events", events)
 
     def __repr__(self) -> str:
         return f"ConditionalAction({self.name!r}, {len(self.events)} events)"
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class PropositionalTask:
     """Ground actions, an initial valuation, and a propositional goal."""
 
-    __slots__ = ("vocab", "actions", "initial", "goal")
+    vocab: Vocabulary
+    actions: tuple[GroundAction, ...]
+    initial: frozenset
+    goal: Formula
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        actions: Sequence[GroundAction],
-        initial: Iterable,
-        goal: Formula,
-    ):
-        init = frozenset(initial)
+    def __post_init__(self):
+        vocab = self.vocab
+        init = frozenset(self.initial)
         for atom in init:
             if atom.index >= len(vocab.atoms) or vocab.atoms[atom.index] != atom:
                 raise VocabularyError(f"initial atom {atom.name} not in vocabulary")
-        validate_over(vocab, goal)
-        if not is_propositional(goal):
+        validate_over(vocab, self.goal)
+        if not is_propositional(self.goal):
             raise ModelError("goal of a propositional task must not use K or C")
-        names = [a.name for a in actions]
-        if len(set(names)) != len(names):
+        actions = tuple(self.actions)
+        if len({a.name for a in actions}) != len(actions):
             raise ModelError("duplicate ground action names")
-        object.__setattr__(self, "vocab", vocab)
-        object.__setattr__(self, "actions", tuple(actions))
+        object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "goal", goal)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("PropositionalTask is immutable")
 
 
 def eval_prop(valuation: Valuation, phi: Formula) -> bool:

@@ -354,6 +354,8 @@ def _load_policy_file(path: str, task: EpistemicTask) -> Policy:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         owner = task.vocab.agent(doc["owner"])
         entries = {bytes.fromhex(row["key"]): row["action"] for row in doc["entries"]}
+        if not all(isinstance(action, str) for action in entries.values()):
+            raise TypeError("an entry's action is not a string")
     except (ValueError, KeyError, TypeError) as exc:
         raise EplanError(f"not a policy file: {path} ({exc})") from None
     return Policy(owner, entries)

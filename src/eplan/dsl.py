@@ -297,7 +297,6 @@ def _collect_formula_tokens(s: _Stream, stop: tuple[str, ...]) -> list[Token]:
         elif depth == 0 and tok.text in stop:
             return out
         out.append(s.next())
-    return out
 
 
 def _parse_edge(s: _Stream, allow_guard: bool) -> _RawEdge:

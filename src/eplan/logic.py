@@ -39,6 +39,7 @@ class Agent:
 class Vocabulary:
     """The finite atom and agent tables a task is built over.
 
+    Not a dataclass: ``__eq__`` has an identity fast path; label keys are cached.
     Immutable after construction; atoms and agents keep their declaration
     order, which fixes every deterministic ordering downstream.
     """
@@ -265,13 +266,18 @@ def _render(phi: Formula, parent_prec: int) -> str:
         return f"K[{phi.agent.name}] " + _render(phi.sub, _PREC_UNARY)
     if isinstance(phi, Common):
         return "C " + _render(phi.sub, _PREC_UNARY)
-    if isinstance(phi, And):
-        # The parser is left-associative; right-nested children keep parens.
-        text = _render(phi.left, _PREC_AND) + " & " + _render(phi.right, _PREC_AND + 1)
-        return f"({text})" if parent_prec > _PREC_AND else text
-    if isinstance(phi, Or):
-        text = _render(phi.left, _PREC_OR) + " | " + _render(phi.right, _PREC_OR + 1)
-        return f"({text})" if parent_prec > _PREC_OR else text
+    if isinstance(phi, (And, Or)):
+        # The parser is left-associative, so a chain of one connective nests
+        # down its left spine, walked here without recursion; right-nested
+        # children keep parens.
+        prec, op = (_PREC_AND, " & ") if isinstance(phi, And) else (_PREC_OR, " | ")
+        rights = []
+        node = phi
+        while type(node) is type(phi):
+            rights.append(node.right)
+            node = node.left
+        text = op.join([_render(node, prec)] + [_render(r, prec + 1) for r in reversed(rights)])
+        return f"({text})" if parent_prec > prec else text
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -363,11 +369,20 @@ def _eval(model, w: int, phi: Formula) -> bool:
         return phi.atom in model.labels[w]
     if isinstance(phi, Not):
         return not _eval(model, w, phi.sub)
-    if isinstance(phi, And):
-        return _eval(model, w, phi.left) and _eval(model, w, phi.right)
-    if isinstance(phi, Or):
-        # Sugar for !(!left & !right); evaluated directly.
-        return _eval(model, w, phi.left) or _eval(model, w, phi.right)
+    if isinstance(phi, (And, Or)):
+        # A chain of one connective, nested either way, is walked with a
+        # stack: operands in reading order, up to the first that decides it
+        # (false for And, true for Or). Or is sugar for !(!left & !right).
+        kind = type(phi)
+        decides = kind is Or
+        stack = [phi.right, phi.left]
+        while stack:
+            node = stack.pop()
+            if type(node) is kind:
+                stack += (node.right, node.left)
+            elif _eval(model, w, node) is decides:
+                return decides
+        return not decides
     if isinstance(phi, Knows):
         return all(_eval(model, v, phi.sub) for v in model.successors(phi.agent, w))
     if isinstance(phi, Common):

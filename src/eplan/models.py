@@ -10,6 +10,7 @@ optional checker can assert S5 properties.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ModelError, VocabularyError
@@ -21,6 +22,7 @@ Edge = tuple[int, int]
 class EpistemicModel:
     """A finite multi-agent Kripke model with a valuation per world.
 
+    Not a dataclass: ``_trusted`` bypasses ``__init__``; caches fill lazily.
     Immutable after construction. Each agent's successor table is built in
     one pass over its edges on the agent's first query, and
     union-reachability is cached per world; both caches only ever gain
@@ -163,6 +165,7 @@ class EpistemicModel:
         return f"EpistemicModel({self.n} worlds)"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EpistemicState:
     """A model plus a non-empty set of designated worlds.
 
@@ -172,57 +175,39 @@ class EpistemicState:
     contracting it again returns it at once.
     """
 
-    __slots__ = ("model", "designated", "_contracted")
+    model: EpistemicModel
+    designated: frozenset[int]
+    _contracted: bool = field(default=False, init=False, compare=False)
 
-    def __init__(self, model: EpistemicModel, designated: Iterable[int]):
-        des = frozenset(designated)
+    def __post_init__(self):
+        des = frozenset(self.designated)
         if not des:
             raise ModelError("designated set must be non-empty")
         for w in des:
-            if not 0 <= w < model.n:
+            if not 0 <= w < self.model.n:
                 raise ModelError(f"designated world out of range: {w}")
-        object.__setattr__(self, "model", model)
         object.__setattr__(self, "designated", des)
-        object.__setattr__(self, "_contracted", False)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("EpistemicState is immutable")
 
     @property
     def is_global(self) -> bool:
         return len(self.designated) == 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpistemicState):
-            return NotImplemented
-        return self.model == other.model and self.designated == other.designated
 
     def __repr__(self) -> str:
         des = ",".join(self.model.world_names[w] for w in sorted(self.designated))
         return f"EpistemicState({self.model.n} worlds, designated {des})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BeliefState:
     """A non-empty finite set of propositional valuations."""
 
-    __slots__ = ("valuations",)
+    valuations: frozenset[frozenset[Atom]]
 
-    def __init__(self, valuations: Iterable[Iterable[Atom]]):
-        vals = frozenset(frozenset(v) for v in valuations)
+    def __post_init__(self):
+        vals = frozenset(frozenset(v) for v in self.valuations)
         if not vals:
             raise ModelError("belief state must be non-empty")
         object.__setattr__(self, "valuations", vals)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("BeliefState is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BeliefState):
-            return NotImplemented
-        return self.valuations == other.valuations
-
-    def __hash__(self) -> int:
-        return hash(self.valuations)
 
     def __len__(self) -> int:
         return len(self.valuations)
@@ -289,7 +274,6 @@ def to_belief_state(state: EpistemicState) -> BeliefState:
 
 def _refine(
     worlds: Sequence[int],
-    labels,
     succ,
     agents: Sequence[Agent],
     initial: dict[int, int],
@@ -354,7 +338,7 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
 
         ids: dict[frozenset[Atom], int] = {}  # one initial block per distinct label
         by_label = {w: ids.setdefault(labels[w], len(ids)) for w in reach}
-        block = _refine(reach, labels, succ, model.vocab.agents, by_label)
+        block = _refine(reach, succ, model.vocab.agents, by_label)
 
         # One quotient world per block, ordered by smallest member index.
         members: dict[int, list[int]] = {}

@@ -25,7 +25,7 @@ from .actions import (
 )
 from .classical import breadth_first
 from .errors import ModelError, NotApplicableError, VocabularyMismatchError
-from .logic import Agent, Formula, Vocabulary, eval_state, validate_over
+from .logic import Agent, Formula, Vocabulary, _eval, validate_over
 from .models import (
     EpistemicState,
     bisim_contract,
@@ -36,6 +36,7 @@ from .models import (
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EpistemicTask:
     """An action repertoire, an initial state, and a goal formula.
 
@@ -43,24 +44,24 @@ class EpistemicTask:
     initial state and every action must be local for the owner (checked).
     """
 
-    __slots__ = ("vocab", "actions", "initial", "goal", "owner", "_by_name")
+    vocab: Vocabulary
+    actions: tuple[EpistemicAction, ...]
+    initial: EpistemicState
+    goal: Formula
+    owner: Agent | None = None
+    _by_name: dict[str, EpistemicAction] = field(init=False, compare=False)
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        actions: Sequence[EpistemicAction],
-        initial: EpistemicState,
-        goal: Formula,
-        owner: Agent | None = None,
-    ):
-        if initial.model.vocab != vocab:
+    def __post_init__(self):
+        vocab, owner = self.vocab, self.owner
+        actions = tuple(self.actions)
+        if self.initial.model.vocab != vocab:
             raise VocabularyMismatchError("initial state uses a different vocabulary")
         for action in actions:
             if action.vocab != vocab:
                 raise VocabularyMismatchError(
                     f"action {action.name} uses a different vocabulary"
                 )
-        validate_over(vocab, goal)
+        validate_over(vocab, self.goal)
         by_name: dict[str, EpistemicAction] = {}
         for action in actions:
             if action.name in by_name:
@@ -69,7 +70,7 @@ class EpistemicTask:
         if owner is not None:
             if vocab.agents[owner.index] != owner:
                 raise VocabularyMismatchError(f"owner {owner.name} not in vocabulary")
-            if not is_local_for(initial, owner):
+            if not is_local_for(self.initial, owner):
                 raise ModelError(
                     f"initial state is not local for owner {owner.name}"
                 )
@@ -78,15 +79,8 @@ class EpistemicTask:
                     raise ModelError(
                         f"action {action.name} is not local for owner {owner.name}"
                     )
-        object.__setattr__(self, "vocab", vocab)
-        object.__setattr__(self, "actions", tuple(actions))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_by_name", by_name)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("EpistemicTask is immutable")
 
     def action_named(self, name: str) -> EpistemicAction:
         try:
@@ -94,20 +88,16 @@ class EpistemicTask:
         except KeyError:
             raise ModelError(f"unknown action name: {name}") from None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpistemicTask):
-            return NotImplemented
-        return (
-            self.vocab == other.vocab
-            and self.actions == other.actions
-            and self.initial == other.initial
-            and self.goal == other.goal
-            and self.owner == other.owner
-        )
-
     def __repr__(self) -> str:
         owner = self.owner.name if self.owner else None
         return f"EpistemicTask({len(self.actions)} actions, owner={owner})"
+
+
+def _goal_holds(task: EpistemicTask, state: EpistemicState) -> bool:
+    """The task's goal at every designated world of ``state``, evaluated
+    unchecked: the task validated it over its vocabulary, which every state
+    that the planner reaches from its initial state or a checked start uses."""
+    return all(_eval(state.model, w, task.goal) for w in state.designated)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ def solve_sequential(task: EpistemicTask, depth_cap: int) -> SequentialPlan | No
         bisim_contract(task.initial),
         canonical_key,
         expand,
-        lambda state: eval_state(state, task.goal),
+        lambda state: _goal_holds(task, state),
         depth_cap,
     )
     return None if steps is None else SequentialPlan(steps)
@@ -192,7 +182,7 @@ def validate_plan(task: EpistemicTask, plan: SequentialPlan | Sequence[str]) -> 
                 failed_step=i,
                 final_state=state,
             )
-    if eval_state(state, task.goal):
+    if _goal_holds(task, state):
         return PlanReport(ok=True, message=f"valid: {len(steps)} steps reach the goal",
                           final_state=state)
     return PlanReport(
@@ -340,7 +330,7 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
     # is expanded at most once. A successor shape seen before has all its
     # child keys among the nodes already, so it reuses them unbuilt.
     roots = _owner_classes(task.initial, owner)
-    nodes = {key: _Node(state, 0, eval_state(state, task.goal)) for key, state in roots}
+    nodes = {key: _Node(state, 0, _goal_holds(task, state)) for key, state in roots}
     queue: deque[bytes] = deque(nodes)
     children: dict[tuple, tuple[bytes, ...]] = {}  # successor shape -> child keys
     while queue:
@@ -354,7 +344,7 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
                 children[shape] = tuple(key for key, _ in classes)
                 for child_key, child_state in classes:
                     if child_key not in nodes:
-                        goal = eval_state(child_state, task.goal)
+                        goal = _goal_holds(task, child_state)
                         nodes[child_key] = _Node(child_state, node.depth + 1, goal)
                         queue.append(child_key)
             node.edges.append((action.name, children[shape]))
@@ -490,7 +480,7 @@ class _Graph:
                 continue
             name = self.actions[key]
             if name is None:
-                goal = eval_state(self.states[key], self.task.goal)
+                goal = _goal_holds(self.task, self.states[key])
                 outcome, reason = ("success", None) if goal else ("failure", "policy undefined")
             elif key in path:
                 outcome, reason = "cutoff", "cycle"
@@ -523,15 +513,10 @@ def execute(
     single-branch walk. Stops with success when the policy is undefined and
     the goal holds, with failure when it is undefined otherwise or a step
     misfires, and with cutoff when a state repeats or after ``max_steps``."""
-    if not start.is_global:
-        raise ModelError("execution starts from a global state")
-    if max_steps < 0:
-        raise ModelError("step bound must be non-negative")
     if chooser is None:
         rng = random.Random(seed)
         chooser = lambda options: rng.randrange(len(options))  # noqa: E731
-    graph = _Graph(task, policy)
-    (run,) = graph.executions(graph.add(bisim_contract(start)), max_steps, chooser)
+    (run,) = _executions(task, policy, start, max_steps, chooser)
     return run
 
 
@@ -544,12 +529,22 @@ def enumerate_executions(
     """All executions of the policy from a global state, depth-first with
     branches explored in world order. Revisiting a state already on the
     current path is reported as a cutoff (the policy loops)."""
+    return _executions(task, policy, start, max_steps)
+
+
+def _executions(
+    task: EpistemicTask, policy, start: EpistemicState, max_steps: int, choose=None
+) -> list[Execution]:
+    """The step table's walk from ``start``, which must be a global state
+    over the task's vocabulary, under a non-negative step bound."""
     if not start.is_global:
         raise ModelError("execution starts from a global state")
+    if start.model.vocab != task.vocab:
+        raise VocabularyMismatchError("start state uses a different vocabulary")
     if max_steps < 0:
         raise ModelError("step bound must be non-negative")
     graph = _Graph(task, policy)
-    return graph.executions(graph.add(bisim_contract(start)), max_steps)
+    return graph.executions(graph.add(bisim_contract(start)), max_steps, choose)
 
 
 # --------------------------------------------------------------------------
@@ -608,7 +603,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
     graph = _Graph(task, policy)
     initial = [graph.add(bisim_contract(g)) for g in globals_of(task.initial)]
     for key in initial:
-        if graph.actions[key] is None and not eval_state(graph.states[key], task.goal):
+        if graph.actions[key] is None and not _goal_holds(task, graph.states[key]):
             violate("coverage", "initial global state is neither covered nor a goal state")
 
     # Walk the reachable policy graph breadth-first, checking (a)/(b) once

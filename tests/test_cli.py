@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR, chain_document
 from eplan import Policy, parse_task, product_update
 from eplan.cli import main
-from eplan.dsl import export_dot
+from eplan.dsl import export_dot, serialize_task
+from eplan.logic import render_formula
 
 PO2 = str(TASKS_DIR / "two_post_offices.eplan")
 SINGLE = str(TASKS_DIR / "birthday_single.eplan")
@@ -318,6 +320,20 @@ class TestValidate:
         code, _, err = run(capsys, "validate", PO2, "--policy", str(bad))
         assert code == 2 and "not a policy file" in err
 
+    @pytest.mark.parametrize("action", [["x"], {"a": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize("command", ["validate", "execute"])
+    def test_non_string_action_in_policy_file_exits_two(self, capsys, tmp_path, command, action):
+        # Exit 1 is kept for "no solution"; a malformed entry is an input error.
+        policy_file = tmp_path / "policy.json"
+        run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8",
+            "--format", "json", "--output", str(policy_file))
+        payload = json.loads(policy_file.read_text())
+        payload["entries"][0]["action"] = action
+        policy_file.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, PO2, "--policy", str(policy_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: not a policy file: {policy_file} (an entry's action is not a string)\n"
+
     @pytest.mark.parametrize("command", ["validate", "execute"])
     def test_unknown_action_in_policy_file_exits_two(self, capsys, tmp_path, command):
         policy_file = tmp_path / "policy.json"
@@ -456,14 +472,33 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "formula",
-        ["!" * 2000 + "top", "(" * 2000 + "top" + ")" * 2000, " & ".join(["top"] * 3000)],
-        ids=["negations", "parentheses", "conjunction-chain"],
+        ["!" * 2000 + "top", "(" * 2000 + "top" + ")" * 2000],
+        ids=["negations", "parentheses"],
     )
     def test_too_deep_formula_exits_two(self, capsys, formula):
         code, _, err = run(capsys, "check", PO2, formula)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("op", [" & ", " | "], ids=["conjunction-chain", "disjunction-chain"])
+    def test_long_flat_chain_evaluates(self, capsys, tmp_path, op):
+        # A flat chain is not nested, so its length has no bound: a goal of
+        # 3,000 operands parses, renders back to its text and solves, and a
+        # 3,000-operand formula checks.
+        goal = op.join(["Wrapped(Present)"] * 3000)
+        text = re.sub(r"goal \{[^}]*\}", f"goal {{ {goal} }}", Path(SINGLE).read_text())
+        doc = parse_task(text.encode())
+        assert render_formula(doc.task.goal) == goal
+        assert f"goal {{ {goal} }}" in serialize_task(doc.task)
+        chain = tmp_path / "chain.eplan"
+        chain.write_text(text)
+        code, out, err = run(capsys, "solve", str(chain), "--mode", "seq", "--max-depth", "8")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "Go(Father,Home,PostOffice)", "PickUp(Father,Present,PostOffice)", "Wrap(Father,Present)",
+        ]
+        assert run(capsys, "check", PO2, op.join(["top"] * 3000)) == (0, "true\n", "")
 
     def test_unknown_log_level_is_not_a_traceback(self):
         env = dict(os.environ, EPLAN_LOG="basic_format")

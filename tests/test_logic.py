@@ -32,7 +32,7 @@ from eplan import (
     render_formula,
 )
 from eplan.dsl import parse_formula
-from eplan.logic import validate_over
+from eplan.logic import _eval, validate_over
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ class TestValidateOver:
         script = textwrap.dedent(
             """
             from eplan import And, Prop, Vocabulary, VocabularyError
-            from eplan.logic import validate_over
+            from eplan.logic import _eval, validate_over
             q, r, s = (Prop(a) for a in Vocabulary(["q", "r", "s"], []).atoms)
             try:
                 validate_over(Vocabulary(["p"], []), And(And(q, r), s))
@@ -233,6 +233,21 @@ class TestFormulaBasics:
         first = eval_state(state, phi)
         for _ in range(5):
             assert eval_state(state, phi) == first
+
+    def test_flat_chains_evaluate_in_reading_order(self, m):
+        # A 3,000-operand chain of one connective evaluates whichever way it
+        # nests. Operands are read left to right and the first one that
+        # decides the chain ends it: the non-formula after it is never read,
+        # and one before it is.
+        home = atom(m.vocab, "At(Father,Home)")
+        left = home
+        for _ in range(2999):
+            left = And(left, home)
+        assert _eval(m, 0, left) and _eval(m, 0, and_all([home] * 3000))
+        assert _eval(m, 0, Or(Or(BOTTOM, home), "junk")) is True
+        assert _eval(m, 0, And(And(home, BOTTOM), "junk")) is False
+        with pytest.raises(TypeError, match="junk"):
+            _eval(m, 0, And(And("junk", BOTTOM), home))
 
     def test_render_parse_round_trip(self):
         rng = random.Random(13)

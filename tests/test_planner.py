@@ -7,6 +7,7 @@ import random
 import pytest
 
 import eplan.actions as actions_module
+import eplan.logic as logic_module
 import eplan.models as models_module
 import eplan.planner as planner
 import reference_policy
@@ -24,6 +25,8 @@ from eplan import (
     Policy,
     Prop,
     SequentialPlan,
+    Vocabulary,
+    VocabularyMismatchError,
     applicable,
     bisim_contract,
     canonical_key,
@@ -152,6 +155,23 @@ class TestSolveSequential:
 
     def test_depth_cap_respected(self, po2):
         assert solve_sequential(po2, 5) is None
+
+    def test_goal_is_not_revalidated(self, po2, monkeypatch):
+        # The task validated its goal over its vocabulary when it was built,
+        # so searches, replays and policy walks evaluate it unchecked.
+        calls = []
+        check = logic_module.validate_over
+        monkeypatch.setattr(
+            logic_module, "validate_over", lambda *args: calls.append(args) or check(*args)
+        )
+        plan = solve_sequential(po2, 8)
+        assert validate_plan(po2, plan).ok
+        policy = solve_policy(po2, 8)
+        assert validate_policy(po2, policy).ok
+        start = globals_of(po2.initial)[1]
+        assert execute(po2, policy, start).outcome == "success"
+        assert len(enumerate_executions(po2, policy, start)) == 1
+        assert calls == []
 
     def test_search_counts(self, monkeypatch):
         # A successor shape yielded before is dropped uncontracted: 2,638
@@ -413,6 +433,16 @@ class TestExecute:
         assert execute(po2, policy, start, max_steps=0).outcome == "cutoff"
         (run,) = enumerate_executions(po2, policy, start, max_steps=0)
         assert (run.outcome, run.reason, run.length) == ("cutoff", "step bound", 0)
+
+    def test_start_over_another_vocabulary_rejected(self, po2):
+        # The goal is evaluated unchecked, so a start state built over
+        # another vocabulary is rejected before any walk.
+        policy = solve_policy(po2, 8)
+        vocab = Vocabulary(["p"], ["Father"])
+        start = EpistemicState(EpistemicModel(vocab, ["w"], [set()]), {0})
+        for walk in (execute, enumerate_executions):
+            with pytest.raises(VocabularyMismatchError, match="start state"):
+                walk(po2, policy, start)
 
     def test_nondeterministic_outcomes_enumerated(self):
         # A coin flip: two always-applicable designated outcomes that are
