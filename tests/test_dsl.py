@@ -171,6 +171,82 @@ task { initial: s0; actions: Link; }
                 pass  # diagnostics are the contract
 
 
+class TestBlockDiagnostics:
+    """The exact diagnostics of the ``state`` and ``action`` blocks, one
+    edit of ``MINIMAL`` each: message, position and order."""
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            (
+                "world w { p }",
+                "world w { p }\n  colour w;",
+                ["10:3: unknown state entry 'colour'"],
+            ),
+            (
+                "  designated e;",
+                "  ramp e;\n  designated e;",
+                ["6:3: unknown action entry 'ramp'"],
+            ),
+            (
+                "post: top; }",
+                "post: top; cost: top; }",
+                ["5:34: unknown event entry 'cost'", "6:3: expected a block, found 'designated'"],
+            ),
+            (
+                "designated w;",
+                "edge A: w -- w if p;\n  designated w;",
+                ["10:18: state edges cannot carry guards"],
+            ),
+            (
+                "world w { p }",
+                "world w { p }\n  world w { }",
+                ["10:9: duplicate world: w"],
+            ),
+            (
+                "event e { pre: top; post: top; }",
+                "event e { pre: top; post: top; }\n  event e { pre: top; post: top; }",
+                ["6:9: duplicate event: e"],
+            ),
+            (
+                "designated w;",
+                "edge A: w -- v;\n  designated v;",
+                ["10:16: unknown world: v", "11:14: unknown world: v"],
+            ),
+            (
+                "  designated e;",
+                "  edge A: e -- f;\n  designated f;",
+                ["7:14: unknown event: f", "6:16: unknown event: f"],
+            ),
+            ("designated w;", "", ["8:7: state s0: empty designated set"]),
+            ("  designated e;\n", "", ["4:8: action skip: empty designated set"]),
+            (
+                "task { initial: s0; actions: skip; }\n",
+                "task { initial: s0; actions: skip;",
+                ["13:35: expected '}', found ''"],
+            ),
+        ],
+        ids=[
+            "unknown-state-entry",
+            "unknown-action-entry",
+            "unknown-event-entry",
+            "guarded-state-edge",
+            "duplicate-world",
+            "duplicate-event",
+            "unknown-world",
+            "unknown-event",
+            "empty-state-designated",
+            "empty-action-designated",
+            "eof-in-block",
+        ],
+    )
+    def test_exact_diagnostics(self, old, new, expected):
+        assert old in MINIMAL
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(MINIMAL.replace(old, new))
+        assert [str(d) for d in exc.value.diagnostics] == expected
+
+
 class TestNestingLimit:
     """Formulas nested past ``MAX_FORMULA_NESTING`` levels end in one
     positioned diagnostic, not in the interpreter's recursion limit."""
