@@ -37,7 +37,6 @@ from .dsl import (
 from .errors import (
     ConsistencyError,
     Diagnostic,
-    EmptyProductError,
     EplanError,
     ModelError,
     NotApplicableError,

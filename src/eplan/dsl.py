@@ -12,6 +12,7 @@ document has been read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator
 
 from .actions import EdgeGuard, EpistemicAction, Event
@@ -181,99 +182,74 @@ class _Stream:
 
 
 # --------------------------------------------------------------------------
-# Raw (unresolved) document pieces
-
-
-@dataclass
-class _RawName:
-    text: str
-    line: int
-    col: int
+# Raw (unresolved) document pieces. Every positioned name is a `Token`.
 
 
 @dataclass
 class _RawEdge:
-    agent: _RawName
-    source: _RawName
-    target: _RawName
+    agent: Token
+    source: Token
+    target: Token
     symmetric: bool
     guard_tokens: list[Token] | None  # None when unguarded
 
 
 @dataclass
-class _RawEvent:
-    name: _RawName
-    pre_tokens: list[Token]
-    post_tokens: list[Token]
+class _RawGraph:
+    """A ``state`` or ``action`` block. ``nodes`` lists (name, body) in
+    document order: a world's body is its atom refs, an event's body its
+    (pre tokens, post tokens)."""
 
-
-@dataclass
-class _RawAction:
-    name: _RawName
-    events: list[_RawEvent] = field(default_factory=list)
+    name: Token
+    nodes: list[tuple[Token, object]] = field(default_factory=list)
     edges: list[_RawEdge] = field(default_factory=list)
-    designated: list[_RawName] = field(default_factory=list)
-
-
-@dataclass
-class _RawWorld:
-    name: _RawName
-    atoms: list[_RawName]
-
-
-@dataclass
-class _RawState:
-    name: _RawName
-    worlds: list[_RawWorld] = field(default_factory=list)
-    edges: list[_RawEdge] = field(default_factory=list)
-    designated: list[_RawName] = field(default_factory=list)
+    designated: list[Token] = field(default_factory=list)
 
 
 @dataclass
 class _RawSchema:
-    name: _RawName
-    parameters: list[tuple[str, _RawName]]
-    pre: list[tuple[bool, _RawName]]  # (positive?, parameterized atom)
-    effect: list[tuple[bool, _RawName]]
+    name: Token
+    parameters: list[tuple[str, Token]]
+    pre: list[tuple[bool, Token]]  # (positive?, parameterized atom)
+    effect: list[tuple[bool, Token]]
 
 
 @dataclass
 class _RawTask:
-    line: int
-    col: int
-    initial: _RawName | None = None
-    actions: list[_RawName] = field(default_factory=list)
-    owner: _RawName | None = None
+    where: Token
+    initial: Token | None = None
+    actions: list[Token] = field(default_factory=list)
+    owner: Token | None = None
 
 
 @dataclass
 class _RawDocument:
-    agents: list[_RawName] = field(default_factory=list)
-    sorts: list[_RawName] = field(default_factory=list)
-    objects: list[tuple[_RawName, list[_RawName]]] = field(default_factory=list)
-    atom_decls: list[tuple[_RawName, list[_RawName]]] = field(default_factory=list)
+    agents: list[Token] = field(default_factory=list)
+    sorts: list[Token] = field(default_factory=list)
+    objects: list[tuple[Token, list[Token]]] = field(default_factory=list)
+    atom_decls: list[tuple[Token, list[Token]]] = field(default_factory=list)
     schemas: list[_RawSchema] = field(default_factory=list)
-    actions: list[_RawAction] = field(default_factory=list)
-    states: list[_RawState] = field(default_factory=list)
-    goals: list[tuple[list[Token], int, int]] = field(default_factory=list)
+    actions: list[_RawGraph] = field(default_factory=list)
+    states: list[_RawGraph] = field(default_factory=list)
+    goals: list[tuple[list[Token], Token]] = field(default_factory=list)
     tasks: list[_RawTask] = field(default_factory=list)
 
 
-def _parse_ref(s: _Stream, what: str = "a name") -> _RawName:
+def _parse_ref(s: _Stream, what: str = "a name") -> Token:
     """IDENT optionally followed by a parenthesized identifier list; the
     canonical text joins the pieces without whitespace."""
     head = s.expect_ident(what)
     if not s.at("("):
-        return _RawName(head.text, head.line, head.col)
+        return head
     s.expect("(")
     args = [s.expect_ident("an argument").text]
     while s.eat(","):
         args.append(s.expect_ident("an argument").text)
     s.expect(")")
-    return _RawName(f"{head.text}({','.join(args)})", head.line, head.col)
+    return Token("ident", f"{head.text}({','.join(args)})", head.line, head.col)
 
 
-def _parse_name_list(s: _Stream, what: str) -> list[_RawName]:
+def _parse_name_list(s: _Stream, what: str) -> list[Token]:
     names = [_parse_ref(s, what)]
     while s.eat(","):
         names.append(_parse_ref(s, what))
@@ -364,30 +340,29 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
         s.expect("{")
         while not s.at("}") and s.peek().kind != "eof":
             head = s.expect_ident("an atom name")
-            args: list[_RawName] = []
+            args: list[Token] = []
             if s.eat("("):
-                args.append(_parse_ref(s, "an argument"))
+                args.append(s.expect_ident("an argument"))
                 while s.eat(","):
-                    args.append(_parse_ref(s, "an argument"))
+                    args.append(s.expect_ident("an argument"))
                 s.expect(")")
-            doc.atom_decls.append((_RawName(head.text, head.line, head.col), args))
+            doc.atom_decls.append((head, args))
             if not (s.eat(",") or s.eat(";")):
                 break
         s.expect("}")
     elif keyword == "schema":
         doc.schemas.append(_parse_schema(s))
     elif keyword == "action":
-        doc.actions.append(_parse_action(s))
+        doc.actions.append(_parse_graph(s, "an action", "an event", _event_body))
     elif keyword == "state":
-        doc.states.append(_parse_state(s))
+        doc.states.append(_parse_graph(s, "a state", "a world", _world_body))
     elif keyword == "goal":
         tok = s.expect("{")
         tokens = _collect_formula_tokens(s, ("}",))
         s.expect("}")
-        doc.goals.append((tokens, tok.line, tok.col))
+        doc.goals.append((tokens, tok))
     elif keyword == "task":
-        tok = s.peek()
-        raw = _RawTask(tok.line, tok.col)
+        raw = _RawTask(s.peek())
         s.expect("{")
         while not s.at("}") and s.peek().kind != "eof":
             entry = s.expect_ident("a task entry")
@@ -407,7 +382,7 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
 
 def _parse_schema(s: _Stream) -> _RawSchema:
     name = s.expect_ident("a schema name")
-    params: list[tuple[str, _RawName]] = []
+    params: list[tuple[str, Token]] = []
     s.expect("(")
     if not s.at(")"):
         while True:
@@ -419,8 +394,8 @@ def _parse_schema(s: _Stream) -> _RawSchema:
                 break
     s.expect(")")
     s.expect("{")
-    pre: list[tuple[bool, _RawName]] = []
-    effect: list[tuple[bool, _RawName]] = []
+    pre: list[tuple[bool, Token]] = []
+    effect: list[tuple[bool, Token]] = []
     while not s.at("}") and s.peek().kind != "eof":
         entry = s.expect_ident("'pre' or 'effect'")
         s.expect(":")
@@ -430,10 +405,10 @@ def _parse_schema(s: _Stream) -> _RawSchema:
         _parse_schema_literals(s, target)
         s.eat(";")
     s.expect("}")
-    return _RawSchema(_RawName(name.text, name.line, name.col), params, pre, effect)
+    return _RawSchema(name, params, pre, effect)
 
 
-def _parse_schema_literals(s: _Stream, out: list[tuple[bool, _RawName]]) -> None:
+def _parse_schema_literals(s: _Stream, out: list[tuple[bool, Token]]) -> None:
     if s.peek().text == "top":
         s.next()
         return
@@ -444,66 +419,53 @@ def _parse_schema_literals(s: _Stream, out: list[tuple[bool, _RawName]]) -> None
             return
 
 
-def _parse_action(s: _Stream) -> _RawAction:
-    name = _parse_ref(s, "an action name")
-    action = _RawAction(name)
+def _parse_graph(s: _Stream, block: str, node: str, read_body) -> _RawGraph:
+    """A ``state`` or ``action`` block. ``block`` and ``node`` are the block
+    and node kinds with their article, as diagnostics print them ("a state"
+    and "a world", or "an action" and "an event"); ``read_body`` reads a
+    node's body between its braces."""
+    kind, node_kind = block.split()[1], node.split()[1]
+    graph = _RawGraph(_parse_ref(s, f"{block} name"))
     s.expect("{")
     while not s.at("}") and s.peek().kind != "eof":
-        entry = s.expect_ident("an action entry")
-        if entry.text == "event":
-            ev_name = _parse_ref(s, "an event name")
+        entry = s.expect_ident(f"{block} entry")
+        if entry.text == node_kind:
+            name = _parse_ref(s, f"{node} name")
             s.expect("{")
-            pre_tokens: list[Token] = []
-            post_tokens: list[Token] = []
-            while not s.at("}") and s.peek().kind != "eof":
-                part = s.expect_ident("'pre' or 'post'")
-                s.expect(":")
-                tokens = _collect_formula_tokens(s, (";", "}"))
-                if part.text == "pre":
-                    pre_tokens = tokens
-                elif part.text == "post":
-                    post_tokens = tokens
-                else:
-                    raise s.error(f"unknown event entry {part.text!r}", part)
-                s.eat(";")
+            body = read_body(s)
             s.expect("}")
-            action.events.append(_RawEvent(ev_name, pre_tokens, post_tokens))
+            graph.nodes.append((name, body))
         elif entry.text == "edge":
-            action.edges.append(_parse_edge(s, allow_guard=True))
+            graph.edges.append(_parse_edge(s, allow_guard=kind == "action"))
             s.eat(";")
         elif entry.text == "designated":
-            action.designated.extend(_parse_name_list(s, "an event name"))
+            graph.designated.extend(_parse_name_list(s, f"{node} name"))
             s.eat(";")
         else:
-            raise s.error(f"unknown action entry {entry.text!r}", entry)
+            raise s.error(f"unknown {kind} entry {entry.text!r}", entry)
     s.expect("}")
-    return action
+    return graph
 
 
-def _parse_state(s: _Stream) -> _RawState:
-    name = _parse_ref(s, "a state name")
-    state = _RawState(name)
-    s.expect("{")
+def _world_body(s: _Stream) -> list[Token]:
+    return [] if s.at("}") else _parse_name_list(s, "an atom")
+
+
+def _event_body(s: _Stream) -> tuple[list[Token], list[Token]]:
+    pre: list[Token] = []
+    post: list[Token] = []
     while not s.at("}") and s.peek().kind != "eof":
-        entry = s.expect_ident("a state entry")
-        if entry.text == "world":
-            w_name = _parse_ref(s, "a world name")
-            s.expect("{")
-            atoms: list[_RawName] = []
-            if not s.at("}"):
-                atoms.extend(_parse_name_list(s, "an atom"))
-            s.expect("}")
-            state.worlds.append(_RawWorld(w_name, atoms))
-        elif entry.text == "edge":
-            state.edges.append(_parse_edge(s, allow_guard=False))
-            s.eat(";")
-        elif entry.text == "designated":
-            state.designated.extend(_parse_name_list(s, "a world name"))
-            s.eat(";")
+        part = s.expect_ident("'pre' or 'post'")
+        s.expect(":")
+        tokens = _collect_formula_tokens(s, (";", "}"))
+        if part.text == "pre":
+            pre = tokens
+        elif part.text == "post":
+            post = tokens
         else:
-            raise s.error(f"unknown state entry {entry.text!r}", entry)
-    s.expect("}")
-    return state
+            raise s.error(f"unknown event entry {part.text!r}", part)
+        s.eat(";")
+    return pre, post
 
 
 # --------------------------------------------------------------------------
@@ -646,10 +608,10 @@ class _Resolver:
         self.ground_cap = ground_cap
         self.source_map: dict[str, tuple[int, int]] = {}
 
-    def note(self, name: _RawName, message: str) -> None:
-        self.diagnostics.append(Diagnostic(name.line, name.col, message))
+    def note(self, where: Token, message: str) -> None:
+        self.diagnostics.append(Diagnostic(where.line, where.col, message))
 
-    def record(self, namespace: str, name: _RawName) -> None:
+    def record(self, namespace: str, name: Token) -> None:
         self.source_map.setdefault(f"{namespace}:{name.text}", (name.line, name.col))
 
     def resolve(self) -> ParsedDocument | None:
@@ -667,29 +629,27 @@ class _Resolver:
             self.diagnostics.append(Diagnostic(1, 1, "missing task block"))
             return None
         if len(doc.tasks) > 1:
-            extra = doc.tasks[1]
-            self.diagnostics.append(
-                Diagnostic(extra.line, extra.col, "more than one task block")
-            )
+            self.note(doc.tasks[1].where, "more than one task block")
             return None
         raw = doc.tasks[0]
         if self.diagnostics:
             return None
 
+        # Ground instance names differ across schemas: each starts with its
+        # schema's name.
+        instances = {a.name: a for group in schema_groups.values() for a in group}
         actions: list[EpistemicAction] = []
         for name in raw.actions:
             if name.text in explicit:
                 actions.append(explicit[name.text])
             elif name.text in schema_groups:
                 actions.extend(schema_groups[name.text])
+            elif name.text in instances:
+                actions.append(instances[name.text])
             else:
-                instance = self._find_instance(schema_groups, name.text)
-                if instance is None:
-                    self.note(name, f"unknown action: {name.text}")
-                else:
-                    actions.append(instance)
+                self.note(name, f"unknown action: {name.text}")
         if raw.initial is None:
-            self.diagnostics.append(Diagnostic(raw.line, raw.col, "task has no initial state"))
+            self.note(raw.where, "task has no initial state")
         initial = states.get(raw.initial.text) if raw.initial else None
         if raw.initial and initial is None:
             self.note(raw.initial, f"unknown state: {raw.initial.text}")
@@ -700,13 +660,13 @@ class _Resolver:
             else:
                 self.note(raw.owner, f"unknown agent: {raw.owner.text}")
         if goal is None:
-            self.diagnostics.append(Diagnostic(raw.line, raw.col, "missing goal block"))
+            self.note(raw.where, "missing goal block")
         if self.diagnostics or initial is None or goal is None:
             return None
         try:
             task = EpistemicTask(vocab, actions, initial, goal, owner)
         except (ModelError, VocabularyError) as exc:
-            self.diagnostics.append(Diagnostic(raw.line, raw.col, str(exc)))
+            self.note(raw.where, str(exc))
             return None
         return ParsedDocument(task, states, self.source_map)
 
@@ -741,7 +701,7 @@ class _Resolver:
         atom_names: list[str] = []
         seen: set[str] = set()
 
-        def declare(name: str, where: _RawName) -> None:
+        def declare(name: str, where: Token) -> None:
             if name in seen:
                 self.note(where, f"duplicate atom: {name}")
                 return
@@ -756,20 +716,15 @@ class _Resolver:
             if not args:
                 declare(head.text, head)
                 continue
-            domains: list[list[str]] = []
+            domains: list[tuple[str, ...]] = []
             for arg in args:
-                if arg.text in self.sorts:
-                    members = list(self.sorts[arg.text])
-                    if not members:
-                        self.note(arg, f"sort {arg.text} has no objects")
-                        members = []
-                    domains.append(members)
-                else:
-                    domains.append([arg.text])  # a constant, used literally
-            combos = [[]]
-            for domain in domains:
-                combos = [prefix + [value] for prefix in combos for value in domain]
-            for combo in combos:
+                if arg.text not in self.sorts:
+                    domains.append((arg.text,))  # a constant, used literally
+                    continue
+                if not self.sorts[arg.text]:
+                    self.note(arg, f"sort {arg.text} has no objects")
+                domains.append(self.sorts[arg.text])
+            for combo in product(*domains):
                 declare(f"{head.text}({','.join(combo)})", head)
 
         if self.diagnostics:
@@ -826,7 +781,7 @@ class _Resolver:
         return groups
 
     @staticmethod
-    def _schema_literals(items: list[tuple[bool, _RawName]]) -> SchemaLiterals:
+    def _schema_literals(items: list[tuple[bool, Token]]) -> SchemaLiterals:
         pos: list[SchemaAtom] = []
         neg: list[SchemaAtom] = []
         for positive, ref in items:
@@ -837,16 +792,6 @@ class _Resolver:
                 head, args = ref.text, []
             (pos if positive else neg).append(SchemaAtom(head, args))
         return SchemaLiterals(pos, neg)
-
-    @staticmethod
-    def _find_instance(
-        groups: dict[str, list[EpistemicAction]], name: str
-    ) -> EpistemicAction | None:
-        for instances in groups.values():
-            for action in instances:
-                if action.name == name:
-                    return action
-        return None
 
     # -- phase 3: explicit action models ------------------------------------
 
@@ -860,27 +805,25 @@ class _Resolver:
             events: list[Event] = []
             index: dict[str, int] = {}
             ok = True
-            for rev in raw.events:
-                self.record(f"event {raw.name.text}", rev.name)
-                if rev.name.text in index:
-                    self.note(rev.name, f"duplicate event: {rev.name.text}")
+            for name, (pre_tokens, post_tokens) in raw.nodes:
+                self.record(f"event {raw.name.text}", name)
+                if name.text in index:
+                    self.note(name, f"duplicate event: {name.text}")
                     ok = False
                     continue
-                pre = self._formula(rev.pre_tokens, rev.name) if rev.pre_tokens else TOP
-                post_formula = (
-                    self._formula(rev.post_tokens, rev.name) if rev.post_tokens else TOP
-                )
+                pre = self._formula(pre_tokens, name) if pre_tokens else TOP
+                post_formula = self._formula(post_tokens, name) if post_tokens else TOP
                 if pre is None or post_formula is None:
                     ok = False
                     continue
                 try:
                     post = LiteralConjunction.from_formula(post_formula)
                 except ConsistencyError as exc:
-                    self.note(rev.name, f"inconsistent postcondition: {exc}")
+                    self.note(name, f"inconsistent postcondition: {exc}")
                     ok = False
                     continue
-                index[rev.name.text] = len(events)
-                events.append(Event(rev.name.text, pre, post))
+                index[name.text] = len(events)
+                events.append(Event(name.text, pre, post))
             designated = self._resolve_names(raw.designated, index, "event")
             edges: list[EdgeGuard] = []
             for redge in raw.edges:
@@ -903,7 +846,7 @@ class _Resolver:
         return out
 
     def _resolve_names(
-        self, names: list[_RawName], index: dict[str, int], what: str
+        self, names: list[Token], index: dict[str, int], what: str
     ) -> list[int] | None:
         out = []
         ok = True
@@ -939,7 +882,7 @@ class _Resolver:
             return [EdgeGuard(agent, src, tgt, guard), EdgeGuard(agent, tgt, src, guard)]
         return [EdgeGuard(agent, src, tgt, guard)]
 
-    def _formula(self, tokens: list[Token], where: _RawName) -> Formula | None:
+    def _formula(self, tokens: list[Token], where: Token) -> Formula | None:
         if not tokens:
             self.note(where, "expected a formula")
             return None
@@ -957,25 +900,23 @@ class _Resolver:
             if raw.name.text in out:
                 self.note(raw.name, f"duplicate state: {raw.name.text}")
                 continue
-            names: list[str] = []
             labels: list[list] = []
-            index: dict[str, int] = {}
+            index: dict[str, int] = {}  # world names in document order
             ok = True
-            for world in raw.worlds:
-                self.record(f"world {raw.name.text}", world.name)
-                if world.name.text in index:
-                    self.note(world.name, f"duplicate world: {world.name.text}")
+            for name, refs in raw.nodes:
+                self.record(f"world {raw.name.text}", name)
+                if name.text in index:
+                    self.note(name, f"duplicate world: {name.text}")
                     ok = False
                     continue
                 atoms = []
-                for ref in world.atoms:
+                for ref in refs:
                     if not vocab.has_atom(ref.text):
                         self.note(ref, f"unknown atom: {ref.text}")
                         ok = False
                     else:
                         atoms.append(vocab.atom(ref.text))
-                index[world.name.text] = len(names)
-                names.append(world.name.text)
+                index[name.text] = len(labels)
                 labels.append(atoms)
             edges: dict = {}
             for redge in raw.edges:
@@ -994,7 +935,7 @@ class _Resolver:
             if not ok or designated is None:
                 continue
             try:
-                model = EpistemicModel(vocab, names, labels, edges)
+                model = EpistemicModel(vocab, list(index), labels, edges)
                 out[raw.name.text] = EpistemicState(model, designated)
             except (ModelError, VocabularyError) as exc:
                 self.note(raw.name, str(exc))
@@ -1006,11 +947,10 @@ class _Resolver:
         if not self.doc.goals:
             return None
         if len(self.doc.goals) > 1:
-            _, line, col = self.doc.goals[1]
-            self.diagnostics.append(Diagnostic(line, col, "more than one goal block"))
+            self.note(self.doc.goals[1][1], "more than one goal block")
             return None
-        tokens, line, col = self.doc.goals[0]
-        return self._formula(tokens, _RawName("goal", line, col))
+        tokens, where = self.doc.goals[0]
+        return self._formula(tokens, where)
 
 
 # --------------------------------------------------------------------------

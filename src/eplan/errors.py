@@ -37,10 +37,6 @@ class NotApplicableError(EplanError):
         self.witness = witness
 
 
-class EmptyProductError(EplanError):
-    """Deprecated and never raised: an applicable action's update has worlds."""
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """A parse/resolution problem located in a source document."""

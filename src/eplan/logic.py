@@ -173,13 +173,12 @@ BOTTOM = Bottom()
 
 
 def and_all(parts: Iterable[Formula]) -> Formula:
-    """Right-fold a sequence into a conjunction; empty sequence is Top."""
-    items = list(parts)
-    if not items:
-        return TOP
-    result = items[-1]
-    for part in reversed(items[:-1]):
-        result = And(part, result)
+    """Left-fold a sequence into a conjunction, nested as the parser nests
+    ``a & b & c``; the empty sequence is Top."""
+    items = iter(parts)
+    result = next(items, TOP)
+    for part in items:
+        result = And(result, part)
     return result
 
 

@@ -28,15 +28,16 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from eplan.actions import EpistemicAction, applicable
-from eplan.errors import (
-    EmptyProductError,
-    NotApplicableError,
-    VocabularyMismatchError,
-)
+from eplan.errors import EplanError, NotApplicableError, VocabularyMismatchError
 from eplan.logic import Agent, _eval
 from eplan.models import EpistemicModel, EpistemicState
 
 Edge = tuple[int, int]
+
+
+class EmptyProductError(EplanError):
+    """A product with no worlds; unreachable once a designated world has
+    an applicable designated event."""
 
 
 def union_reach(model: EpistemicModel, w: int) -> frozenset[int]:

@@ -19,7 +19,6 @@ from conftest import (
 from eplan import (
     And,
     EdgeGuard,
-    EmptyProductError,
     EpistemicAction,
     EplanError,
     EpistemicState,
@@ -160,7 +159,7 @@ class TestProductUpdate:
         action = EpistemicAction(
             "impossible", vocab, [Event("e", Prop(p), LiteralConjunction())], {0}
         )
-        with pytest.raises((NotApplicableError, EmptyProductError)):
+        with pytest.raises(NotApplicableError):
             product_update(state, action)
 
     def test_designated_projection(self):

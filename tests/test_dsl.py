@@ -171,6 +171,16 @@ task { initial: s0; actions: Link; }
                 pass  # diagnostics are the contract
 
 
+class TestAtomDeclarations:
+    def test_arguments_are_identifiers(self):
+        # `P(f(a))` names no atom a world or a goal could mention, so its
+        # declaration is the error.
+        bad = MINIMAL.replace("atoms { p }", "atoms { p; P(f(a)) }")
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(bad)
+        assert [str(d) for d in exc.value.diagnostics] == ["3:15: expected ')', found '('"]
+
+
 class TestBlockDiagnostics:
     """The exact diagnostics of the ``state`` and ``action`` blocks, one
     edit of ``MINIMAL`` each: message, position and order."""

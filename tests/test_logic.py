@@ -240,14 +240,25 @@ class TestFormulaBasics:
         # decides the chain ends it: the non-formula after it is never read,
         # and one before it is.
         home = atom(m.vocab, "At(Father,Home)")
-        left = home
+        left = right = home
         for _ in range(2999):
-            left = And(left, home)
-        assert _eval(m, 0, left) and _eval(m, 0, and_all([home] * 3000))
+            left, right = And(left, home), And(home, right)
+        assert _eval(m, 0, left) and _eval(m, 0, right)
         assert _eval(m, 0, Or(Or(BOTTOM, home), "junk")) is True
         assert _eval(m, 0, And(And(home, BOTTOM), "junk")) is False
         with pytest.raises(TypeError, match="junk"):
             _eval(m, 0, And(And("junk", BOTTOM), home))
+
+    def test_and_all_nests_as_the_parser_reads(self):
+        # and_all folds left, as the parser nests `p & q & !r`: its text
+        # needs no parentheses, and a long chain renders without recursion.
+        vocab = Vocabulary(["p", "q", "r"], ["a"])
+        p, q, r = (Prop(a) for a in vocab.atoms)
+        phi = and_all([p, q, Not(r)])
+        assert phi == And(And(p, q), Not(r))
+        assert render_formula(phi) == "p & q & !r"
+        assert parse_formula("p & q & !r", vocab) == phi
+        assert render_formula(and_all([p] * 3000)) == " & ".join(["p"] * 3000)
 
     def test_render_parse_round_trip(self):
         rng = random.Random(13)
