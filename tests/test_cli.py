@@ -500,6 +500,30 @@ class TestErrors:
         ]
         assert run(capsys, "check", PO2, op.join(["top"] * 3000)) == (0, "true\n", "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", PRIVATE, "--mode", "policy", "--max-depth", "4"],
+             "policy mode requires a task with an owner"),
+            (["validate", PO2], "validate needs exactly one of --plan or --policy"),
+            (["validate", PO2, "--plan", "PLAN", "--policy", "POLICY"],
+             "validate needs exactly one of --plan or --policy"),
+            (["execute", PRIVATE, "--policy", "POLICY", "--start", "w1"],
+             "world w1 is not designated"),
+            (["dot", PO2, "--action", "A", "--state", "s0"], "choose one of --action or --state"),
+            (["dot", PO2, "--state", "nope"], "unknown state nope"),
+        ],
+        ids=["policy-without-owner", "validate-neither", "validate-both",
+             "execute-undesignated-start", "dot-action-and-state", "dot-unknown-state"],
+    )
+    def test_usage_error_exits_two(self, capsys, tmp_path, argv, message):
+        # ask_private's initial state designates w2 only; an empty policy
+        # for Father loads, so the start check is what fails.
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text(json.dumps({"eplan": 1, "owner": "Father", "entries": []}))
+        argv = [str(policy_file) if arg in ("PLAN", "POLICY") else arg for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_unknown_log_level_is_not_a_traceback(self):
         env = dict(os.environ, EPLAN_LOG="basic_format")
         env["PYTHONPATH"] = os.pathsep.join(
