@@ -32,6 +32,7 @@ from .logic import (
     Top,
     Vocabulary,
     _eval,
+    render_formula,
     validate_over,
 )
 from .models import EpistemicModel, EpistemicState
@@ -432,7 +433,7 @@ def make_ask(
         And(Not(Knows(answerer, phi)), Not(Knows(answerer, Not(phi)))),
         LiteralConjunction(),
     )
-    name = f"Ask({asker.name},{answerer.name},{_short(phi)})"
+    name = f"Ask({asker.name},{answerer.name},{render_formula(phi)})"
     if mode == "public":
         return EpistemicAction(name, vocab, [yes, no, unknown], {0, 1, 2})
     if mode not in ("private", "overheard"):
@@ -456,9 +457,3 @@ def make_ask(
                 if a != b:
                     edges.append(EdgeGuard(agent, a, b))
     return EpistemicAction(name, vocab, events, {0, 1, 2}, edges)
-
-
-def _short(phi: Formula) -> str:
-    from .logic import render_formula
-
-    return render_formula(phi)

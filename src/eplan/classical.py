@@ -11,22 +11,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
+from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConsistencyError, ModelError, VocabularyError
-from .logic import (
-    And,
-    Bottom,
-    Formula,
-    LiteralConjunction,
-    Not,
-    Or,
-    Prop,
-    Top,
-    Vocabulary,
-    is_propositional,
-    validate_over,
-)
+from .logic import Formula, LiteralConjunction, Vocabulary, _eval, is_propositional, validate_over
 from .models import BeliefState
 
 Valuation = frozenset
@@ -77,7 +66,7 @@ class ActionSchema:
     def __post_init__(self):
         parameters = tuple(self.parameters)
         if len({var for var, _ in parameters}) != len(parameters):
-            raise ModelError(f"schema {self.name}: duplicate parameter names")
+            raise ModelError("duplicate parameter names")
         object.__setattr__(self, "parameters", parameters)
 
     def __repr__(self) -> str:
@@ -128,7 +117,7 @@ class PropositionalTask:
         vocab = self.vocab
         init = frozenset(self.initial)
         for atom in init:
-            if atom.index >= len(vocab.atoms) or vocab.atoms[atom.index] != atom:
+            if atom not in vocab._atom_set:
                 raise VocabularyError(f"initial atom {atom.name} not in vocabulary")
         validate_over(vocab, self.goal)
         if not is_propositional(self.goal):
@@ -141,20 +130,12 @@ class PropositionalTask:
 
 
 def eval_prop(valuation: Valuation, phi: Formula) -> bool:
-    """Propositional truth in a valuation (no modalities allowed)."""
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bottom):
-        return False
-    if isinstance(phi, Prop):
-        return phi.atom in valuation
-    if isinstance(phi, Not):
-        return not eval_prop(valuation, phi.sub)
-    if isinstance(phi, And):
-        return eval_prop(valuation, phi.left) and eval_prop(valuation, phi.right)
-    if isinstance(phi, Or):
-        return eval_prop(valuation, phi.left) or eval_prop(valuation, phi.right)
-    raise ModelError("propositional evaluation reached a modality")
+    """Propositional truth in a valuation: the epistemic truth definition
+    at the one world of a model labelled ``valuation``. A formula with K or
+    C is rejected before it is evaluated."""
+    if not is_propositional(phi):
+        raise ModelError("propositional evaluation reached a modality")
+    return _eval(SimpleNamespace(labels=(valuation,)), 0, phi)
 
 
 # --------------------------------------------------------------------------

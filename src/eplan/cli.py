@@ -59,18 +59,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TaskParseError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"error: {diagnostic}", file=sys.stderr)
-        return 2
-    except EplanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        errors = exc.diagnostics
+    except (EplanError, OSError) as exc:
+        errors = [exc]
     except RecursionError:
-        print("error: input is nested too deeply", file=sys.stderr)
-        return 2
+        errors = ["input is nested too deeply"]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,8 +306,7 @@ def _policy_tree(policy: Policy) -> list[str]:
 
 def _solve_policy(args, task: EpistemicTask) -> int:
     if task.owner is None:
-        print("error: policy mode requires a task with an owner", file=sys.stderr)
-        return 2
+        raise EplanError("policy mode requires a task with an owner")
     policy = solve_policy(task, args.max_depth)
     if policy is None:
         _emit(
@@ -365,8 +360,7 @@ def cmd_validate(args) -> int:
     parsed = _load(args)
     task = parsed.task
     if bool(args.plan) == bool(args.policy):
-        print("error: validate needs exactly one of --plan or --policy", file=sys.stderr)
-        return 2
+        raise EplanError("validate needs exactly one of --plan or --policy")
     if args.plan:
         steps = [
             line.strip()
@@ -414,8 +408,7 @@ def cmd_execute(args) -> int:
     if args.start is not None:
         index = initial.model.world_index(args.start)
         if index not in initial.designated:
-            print(f"error: world {args.start} is not designated", file=sys.stderr)
-            return 2
+            raise EplanError(f"world {args.start} is not designated")
         start = EpistemicState(initial.model, {index})
     else:
         start = starts[0]
@@ -440,14 +433,12 @@ def cmd_execute(args) -> int:
 def cmd_dot(args) -> int:
     parsed = _load(args)
     if args.action and args.state:
-        print("error: choose one of --action or --state", file=sys.stderr)
-        return 2
+        raise EplanError("choose one of --action or --state")
     if args.action:
         value = parsed.task.action_named(args.action)
     elif args.state:
         if args.state not in parsed.states:
-            print(f"error: unknown state {args.state}", file=sys.stderr)
-            return 2
+            raise EplanError(f"unknown state {args.state}")
         value = parsed.states[args.state]
     else:
         value = parsed.task.initial

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .actions import EdgeGuard, EpistemicAction, Event
+from .actions import EdgeGuard, EpistemicAction, Event, induced_action
 from .classical import ActionSchema, SchemaAtom, SchemaLiterals, ground
 from .errors import ConsistencyError, Diagnostic, ModelError, TaskParseError, VocabularyError
 from .logic import (
@@ -206,12 +206,16 @@ class _RawGraph:
     designated: list[Token] = field(default_factory=list)
 
 
+# A schema literal: (positive?, predicate, arguments).
+_Literal = tuple[bool, Token, list[Token]]
+
+
 @dataclass
 class _RawSchema:
     name: Token
     parameters: list[tuple[str, Token]]
-    pre: list[tuple[bool, Token]]  # (positive?, parameterized atom)
-    effect: list[tuple[bool, Token]]
+    pre: list[_Literal]
+    effect: list[_Literal]
 
 
 @dataclass
@@ -235,18 +239,26 @@ class _RawDocument:
     tasks: list[_RawTask] = field(default_factory=list)
 
 
-def _parse_ref(s: _Stream, what: str = "a name") -> Token:
-    """IDENT optionally followed by a parenthesized identifier list; the
-    canonical text joins the pieces without whitespace."""
+def _parse_call(s: _Stream, what: str) -> tuple[Token, list[Token]]:
+    """IDENT optionally followed by a parenthesized identifier list, as
+    (head, arguments)."""
     head = s.expect_ident(what)
-    if not s.at("("):
+    args: list[Token] = []
+    if s.eat("("):
+        args.append(s.expect_ident("an argument"))
+        while s.eat(","):
+            args.append(s.expect_ident("an argument"))
+        s.expect(")")
+    return head, args
+
+
+def _parse_ref(s: _Stream, what: str = "a name") -> Token:
+    """A call (:func:`_parse_call`) as one name at its head: the canonical
+    text joins the pieces without whitespace."""
+    head, args = _parse_call(s, what)
+    if not args:
         return head
-    s.expect("(")
-    args = [s.expect_ident("an argument").text]
-    while s.eat(","):
-        args.append(s.expect_ident("an argument").text)
-    s.expect(")")
-    return Token("ident", f"{head.text}({','.join(args)})", head.line, head.col)
+    return Token("ident", f"{head.text}({','.join(a.text for a in args)})", head.line, head.col)
 
 
 def _parse_name_list(s: _Stream, what: str) -> list[Token]:
@@ -339,14 +351,7 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
     elif keyword == "atoms":
         s.expect("{")
         while not s.at("}") and s.peek().kind != "eof":
-            head = s.expect_ident("an atom name")
-            args: list[Token] = []
-            if s.eat("("):
-                args.append(s.expect_ident("an argument"))
-                while s.eat(","):
-                    args.append(s.expect_ident("an argument"))
-                s.expect(")")
-            doc.atom_decls.append((head, args))
+            doc.atom_decls.append(_parse_call(s, "an atom name"))
             if not (s.eat(",") or s.eat(";")):
                 break
         s.expect("}")
@@ -394,8 +399,8 @@ def _parse_schema(s: _Stream) -> _RawSchema:
                 break
     s.expect(")")
     s.expect("{")
-    pre: list[tuple[bool, Token]] = []
-    effect: list[tuple[bool, Token]] = []
+    pre: list[_Literal] = []
+    effect: list[_Literal] = []
     while not s.at("}") and s.peek().kind != "eof":
         entry = s.expect_ident("'pre' or 'effect'")
         s.expect(":")
@@ -408,13 +413,13 @@ def _parse_schema(s: _Stream) -> _RawSchema:
     return _RawSchema(name, params, pre, effect)
 
 
-def _parse_schema_literals(s: _Stream, out: list[tuple[bool, Token]]) -> None:
+def _parse_schema_literals(s: _Stream, out: list[_Literal]) -> None:
     if s.peek().text == "top":
         s.next()
         return
     while True:
         positive = not s.eat("!")
-        out.append((positive, _parse_ref(s, "an atom")))
+        out.append((positive, *_parse_call(s, "an atom")))
         if not s.eat("&"):
             return
 
@@ -683,9 +688,6 @@ class _Resolver:
                 self.record("agent", name)
 
         sort_members: dict[str, list[str]] = {}
-        declared_sorts = {s.text for s in doc.sorts}
-        for sort, _ in doc.objects:
-            declared_sorts.add(sort.text)
         for sort, members in doc.objects:
             bucket = sort_members.setdefault(sort.text, [])
             for member in members:
@@ -738,8 +740,6 @@ class _Resolver:
     # -- phase 2: schemas ---------------------------------------------------
 
     def _ground_schemas(self, vocab: Vocabulary) -> dict[str, list[EpistemicAction]]:
-        from .actions import induced_action
-
         groups: dict[str, list[EpistemicAction]] = {}
         total = 0
         for raw in self.doc.schemas:
@@ -764,13 +764,13 @@ class _Resolver:
                     " split the task or raise the cap",
                 )
                 return groups
-            schema = ActionSchema(
-                raw.name.text,
-                params,
-                self._schema_literals(raw.pre),
-                self._schema_literals(raw.effect),
-            )
             try:
+                schema = ActionSchema(
+                    raw.name.text,
+                    params,
+                    self._schema_literals(raw.pre),
+                    self._schema_literals(raw.effect),
+                )
                 ground_actions = ground([schema], self.sorts, vocab)
             except (ModelError, VocabularyError, ConsistencyError) as exc:
                 self.note(raw.name, f"schema {raw.name.text}: {exc}")
@@ -781,16 +781,11 @@ class _Resolver:
         return groups
 
     @staticmethod
-    def _schema_literals(items: list[tuple[bool, Token]]) -> SchemaLiterals:
+    def _schema_literals(items: list[_Literal]) -> SchemaLiterals:
         pos: list[SchemaAtom] = []
         neg: list[SchemaAtom] = []
-        for positive, ref in items:
-            if "(" in ref.text:
-                head, rest = ref.text.split("(", 1)
-                args = rest.rstrip(")").split(",")
-            else:
-                head, args = ref.text, []
-            (pos if positive else neg).append(SchemaAtom(head, args))
+        for positive, head, args in items:
+            (pos if positive else neg).append(SchemaAtom(head.text, [a.text for a in args]))
         return SchemaLiterals(pos, neg)
 
     # -- phase 3: explicit action models ------------------------------------
@@ -957,10 +952,6 @@ class _Resolver:
 # Serialization
 
 
-def render_post(post: LiteralConjunction) -> str:
-    return "top" if post.is_top else render_formula(post.to_formula())
-
-
 def serialize_task(task: EpistemicTask, initial_name: str = "s0") -> str:
     """Canonical document text; parsing it back yields a structurally equal
     task (schemas are emitted as their ground actions)."""
@@ -1023,7 +1014,8 @@ def _edges(
 
 def _label(model: EpistemicModel, w: int, sep: str = ", ") -> str:
     """The atoms true at a world, in vocabulary order."""
-    return sep.join(a.name for a in sorted(model.labels[w], key=lambda a: a.index))
+    atoms = model.vocab.atoms
+    return sep.join(atoms[i].name for i in model.vocab._label_key(model.labels[w]))
 
 
 def _serialize_state(state: EpistemicState, name: str) -> list[str]:
@@ -1049,7 +1041,7 @@ def _serialize_action(action: EpistemicAction) -> list[str]:
     for event in action.events:
         lines.append(f"  event {event.name} {{")
         lines.append(f"    pre: {render_formula(event.pre)};")
-        lines.append(f"    post: {render_post(event.post)};")
+        lines.append(f"    post: {render_formula(event.post.to_formula())};")
         lines.append("  }")
     for agent, u, v, two_way, guard in _edges(action):
         arrow = "--" if two_way else "->"
@@ -1134,7 +1126,7 @@ def _dot_state(state: EpistemicState) -> str:
 def _dot_action(action: EpistemicAction) -> str:
     lines = ["digraph action {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     for i, event in enumerate(action.events):
-        pair = f"⟨{render_formula(event.pre)}, {render_post(event.post)}⟩"
+        pair = f"⟨{render_formula(event.pre)}, {render_formula(event.post.to_formula())}⟩"
         caption = _dot_escape(event.name) + "\\n" + _dot_escape(pair)
         extra = ", peripheries=2" if i in action.designated else ""
         lines.append(f'  n{i} [label="{caption}"{extra}];')

@@ -48,24 +48,12 @@ class Vocabulary:
         "atoms", "agents", "_atom_by_name", "_agent_by_name", "_atom_set", "_label_keys")
 
     def __init__(self, atom_names: Iterable[str], agent_names: Iterable[str]):
-        atoms = []
-        seen: dict[str, int] = {}
-        for name in atom_names:
-            if name in seen:
-                raise VocabularyError(f"duplicate atom name: {name}")
-            seen[name] = len(atoms)
-            atoms.append(Atom(len(atoms), name))
-        agents = []
-        aseen: dict[str, int] = {}
-        for name in agent_names:
-            if name in aseen:
-                raise VocabularyError(f"duplicate agent name: {name}")
-            aseen[name] = len(agents)
-            agents.append(Agent(len(agents), name))
-        object.__setattr__(self, "atoms", tuple(atoms))
-        object.__setattr__(self, "agents", tuple(agents))
-        object.__setattr__(self, "_atom_by_name", seen)
-        object.__setattr__(self, "_agent_by_name", aseen)
+        atoms, atom_by_name = _intern(Atom, atom_names, "atom")
+        agents, agent_by_name = _intern(Agent, agent_names, "agent")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "_atom_by_name", atom_by_name)
+        object.__setattr__(self, "_agent_by_name", agent_by_name)
         object.__setattr__(self, "_atom_set", frozenset(atoms))
         object.__setattr__(self, "_label_keys", {})
 
@@ -74,13 +62,13 @@ class Vocabulary:
 
     def atom(self, name: str) -> Atom:
         try:
-            return self.atoms[self._atom_by_name[name]]
+            return self._atom_by_name[name]
         except KeyError:
             raise VocabularyError(f"unknown atom: {name}") from None
 
     def agent(self, name: str) -> Agent:
         try:
-            return self.agents[self._agent_by_name[name]]
+            return self._agent_by_name[name]
         except KeyError:
             raise VocabularyError(f"unknown agent: {name}") from None
 
@@ -111,6 +99,17 @@ class Vocabulary:
         return f"Vocabulary({len(self.atoms)} atoms, {len(self.agents)} agents)"
 
 
+def _intern(cls, names: Iterable[str], kind: str) -> tuple[tuple, dict]:
+    """``cls(index, name)`` for each name in order, as a tuple and as a
+    name -> entry table; a repeated name is a :class:`VocabularyError`."""
+    table: dict = {}
+    for name in names:
+        if name in table:
+            raise VocabularyError(f"duplicate {kind} name: {name}")
+        table[name] = cls(len(table), name)
+    return tuple(table.values()), table
+
+
 # --------------------------------------------------------------------------
 # Formula AST
 
@@ -123,14 +122,12 @@ class Formula:
 
 @dataclass(frozen=True)
 class Top(Formula):
-    def __repr__(self) -> str:
-        return "Top()"
+    """Truth: holds at every world."""
 
 
 @dataclass(frozen=True)
 class Bottom(Formula):
-    def __repr__(self) -> str:
-        return "Bottom()"
+    """Falsity: holds at no world."""
 
 
 @dataclass(frozen=True)
@@ -228,16 +225,13 @@ def is_propositional(phi: Formula) -> bool:
 def validate_over(vocab: Vocabulary, phi: Formula) -> None:
     """Check every atom and agent in ``phi`` is the vocabulary's own entry;
     the first foreign one in reading order is named."""
-    atoms, agents = vocab.atoms, vocab.agents
     for node in _nodes(phi):
         if isinstance(node, Prop):
-            atom = node.atom
-            if atom.index >= len(atoms) or atoms[atom.index] != atom:
-                raise VocabularyError(f"atom {atom.name} not in vocabulary")
+            if node.atom not in vocab._atom_set:
+                raise VocabularyError(f"atom {node.atom.name} not in vocabulary")
         elif isinstance(node, Knows):
-            agent = node.agent
-            if agent.index >= len(agents) or agents[agent.index] != agent:
-                raise VocabularyError(f"agent {agent.name} not in vocabulary")
+            if node.agent not in vocab.agents:
+                raise VocabularyError(f"agent {node.agent.name} not in vocabulary")
 
 
 # Rendering uses the concrete syntax also accepted by the DSL parser:

@@ -49,11 +49,9 @@ class EpistemicModel:
         frozen_labels = [frozenset(label) for label in labels]
         atom_set = vocab._atom_set
         for fl in frozen_labels:
-            if fl <= atom_set:
-                continue
-            for atom in fl:
-                if atom.index >= len(vocab.atoms) or vocab.atoms[atom.index] != atom:
-                    raise VocabularyError(f"label atom {atom.name} not in vocabulary")
+            if not fl <= atom_set:
+                foreign = next(atom for atom in fl if atom not in atom_set)
+                raise VocabularyError(f"label atom {foreign.name} not in vocabulary")
         edge_map: dict[Agent, frozenset[Edge]] = {}
         edges = edges or {}
         for agent in vocab.agents:
@@ -65,7 +63,7 @@ class EpistemicModel:
                     pairs.add((u, v))
             edge_map[agent] = frozenset(pairs)
         for agent in edges:
-            if agent not in edge_map:
+            if agent not in vocab.agents:
                 raise VocabularyError(f"agent {agent.name} not in vocabulary")
 
         self._fill(vocab, tuple(world_names), tuple(frozen_labels), edge_map)
@@ -243,10 +241,7 @@ def is_local_for(state: EpistemicState, agent: Agent) -> bool:
 def from_belief_state(vocab: Vocabulary, belief: BeliefState) -> EpistemicState:
     """Embed a belief state: one world per valuation, the total relation for
     every agent, all worlds designated."""
-    order = sorted(
-        belief.valuations,
-        key=lambda val: tuple(sorted(a.index for a in val)),
-    )
+    order = sorted(belief.valuations, key=vocab._label_key)
     n = len(order)
     names = [f"w{i + 1}" for i in range(n)]
     total = [(u, v) for u in range(n) for v in range(n) if u != v]

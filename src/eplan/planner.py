@@ -68,7 +68,7 @@ class EpistemicTask:
                 raise ModelError(f"duplicate action name: {action.name}")
             by_name[action.name] = action
         if owner is not None:
-            if vocab.agents[owner.index] != owner:
+            if owner not in vocab.agents:
                 raise VocabularyMismatchError(f"owner {owner.name} not in vocabulary")
             if not is_local_for(self.initial, owner):
                 raise ModelError(

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from eplan import (
+    TOP,
     ActionSchema,
     BeliefState,
     ConditionalAction,
     GroundAction,
+    Knows,
     LiteralConjunction,
     ModelError,
+    Or,
     Prop,
     PropositionalTask,
     SchemaAtom,
@@ -412,3 +415,25 @@ class TestSolveClassical:
 
         with pytest.raises(ModelError):
             PropositionalTask(vocab, [], set(), Knows(vocab.agent("a"), Prop(vocab.atom("p"))))
+
+
+class TestEvalProp:
+    """``eval_prop`` is the epistemic truth definition at one world."""
+
+    def test_long_conjunction_does_not_recurse(self):
+        # 3,000 conjuncts nest deeper than the default recursion limit.
+        vocab = Vocabulary(["p"], ["a"])
+        p = vocab.atom("p")
+        goal = and_all([Prop(p)] * 3000)
+        assert eval_prop(frozenset({p}), goal)
+        assert not eval_prop(frozenset(), goal)
+        action = GroundAction("make", LiteralConjunction(), LiteralConjunction.of([p]))
+        task = PropositionalTask(vocab, [action], set(), goal)
+        assert solve_classical(task, 2) == ["make"]
+
+    def test_modality_rejected_before_evaluation(self):
+        # `top | K[a] p` is decided by its first operand, yet K is rejected.
+        vocab = Vocabulary(["p"], ["a"])
+        phi = Or(TOP, Knows(vocab.agent("a"), Prop(vocab.atom("p"))))
+        with pytest.raises(ModelError, match="propositional evaluation reached a modality"):
+            eval_prop(frozenset(), phi)

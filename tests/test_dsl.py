@@ -136,6 +136,26 @@ task { initial: s0; actions: Link; }
             parse_task(text, max_ground_actions=50)
         assert any("cap" in str(d) for d in exc.value.diagnostics)
 
+    def test_repeated_schema_parameter_is_a_diagnostic(self):
+        text = """
+agents { F }
+sorts { agent, location }
+objects { agent: F; location: H, P; }
+atoms { At(agent, location) }
+schema Go(agt: agent, agt: location, to: location) {
+  pre: At(agt, to);
+  effect: !At(agt, to);
+}
+state s0 { world w { } designated w; }
+goal { top }
+task { initial: s0; actions: Go; }
+"""
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(text)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            "6:8: schema Go: duplicate parameter names"
+        ]
+
     def test_invalid_utf8_is_a_diagnostic(self):
         with pytest.raises(TaskParseError):
             parse_task(b"\xff\xfe agents")

@@ -14,6 +14,8 @@ import reference_policy
 import reference_update
 from conftest import TASK_FILES, TWO_OFFICE_PLAN, chain_document, gen_task, load_doc
 from eplan import (
+    TOP,
+    Agent,
     EpistemicModel,
     EpistemicState,
     EpistemicTask,
@@ -103,6 +105,14 @@ class TestLocalize:
                 po2.goal,
                 owner=father,
             )
+
+    def test_owner_from_a_larger_vocabulary_is_a_mismatch(self):
+        # Agent 3 has no entry in a one-agent vocabulary: a mismatch, not
+        # an index error.
+        vocab = Vocabulary(["p"], ["a"])
+        state = EpistemicState(EpistemicModel(vocab, ["w"], [[]]), {0})
+        with pytest.raises(VocabularyMismatchError, match="owner z not in vocabulary"):
+            EpistemicTask(vocab, (), state, TOP, owner=Agent(3, "z"))
 
 
 def count_calls(monkeypatch):
