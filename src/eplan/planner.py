@@ -272,19 +272,14 @@ def _owner_classes(
 
     Returns (key, contracted local state) per class, sorted by key. Globals
     with one owner closure share one view, so each closure is contracted
-    once. A world inside an earlier closure that has the closure's seed
-    among its owner successors has that closure (closures are forward-
-    closed), so it is not searched. A closure that is the whole designated
-    set of a contracted state has that state itself as its view: the same
-    model and designated set, which contraction would return unchanged."""
+    once. A closure that is the whole designated set of a contracted state
+    has that state itself as its view: the same model and designated set,
+    which contraction would return unchanged."""
     model = state.model
     classes: dict[bytes, EpistemicState] = {}
     closures: set[frozenset[int]] = set()
-    seeds: dict[int, frozenset[int]] = {}  # searched world -> its closure
     for w in sorted(state.designated):
-        if any(w in seeds[s] for s in model.successors(owner, w) if s in seeds):
-            continue
-        closure = seeds[w] = frozenset(model.closure((w,), (owner,)))
+        closure = frozenset(model.closure((w,), (owner,)))
         if closure in closures:
             continue
         closures.add(closure)
