@@ -260,42 +260,11 @@ def to_belief_state(state: EpistemicState) -> BeliefState:
 #
 # Contraction restricts to the worlds reachable from the designated set and
 # quotients by the coarsest partition stable under labels and per-agent
-# successor-block sets (Paige-Tarjan-style refinement). Designation does not
-# split blocks: state bisimilarity only requires the designated sets to be
-# linked both ways, so the quotient marks a block designated when it contains
-# a designated world. This is what makes canonical-key equality coincide with
-# state bisimilarity.
-
-
-def _refine(
-    worlds: Sequence[int],
-    succ,
-    agents: Sequence[Agent],
-    initial: dict[int, int],
-) -> dict[int, int]:
-    """Iterate successor-set splitting until the partition is stable.
-
-    ``succ(agent, w)`` must include the implicit reflexive successor.
-    Returns a dense block id per world.
-    """
-    block = dict(initial)
-    while True:
-        sig_to_id: dict[tuple, int] = {}
-        new_block: dict[int, int] = {}
-        for w in worlds:
-            sig = (
-                block[w],
-                tuple(
-                    frozenset(block[v] for v in succ(agent, w))
-                    for agent in agents
-                ),
-            )
-            if sig not in sig_to_id:
-                sig_to_id[sig] = len(sig_to_id)
-            new_block[w] = sig_to_id[sig]
-        if len(set(new_block.values())) == len(set(block.values())):
-            return new_block
-        block = new_block
+# successor-block sets (naive signature refinement, as in Kanellakis &
+# Smolka 1990). Designation does not split blocks: state bisimilarity only
+# requires the designated sets to be linked both ways, so the quotient marks
+# a block designated when it contains a designated world. This is what makes
+# canonical-key equality coincide with state bisimilarity.
 
 
 def bisim_contract(state: EpistemicState) -> EpistemicState:
@@ -305,52 +274,56 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     its designated set is the image of the input's designated set. Worlds
     unreachable from the designated set are dropped here (and only here).
     The result is marked contracted and its model minimal; a state already
-    marked contracted is returned at once. Refinement runs only when two
-    reachable worlds share a label. Otherwise no two of them can be
-    bisimilar, and neither can two worlds of a minimal model (the
-    designated-reachable part is a generated submodel, which keeps
-    bisimilarity), so the worlds are already the quotient's blocks: the
-    state itself is returned, its model marked minimal, when every world
-    is reachable, and otherwise the reachable worlds are kept in index
-    order, exactly as refinement would give them.
+    marked contracted is returned at once.
+
+    One loop refines the blocks of the reachable worlds. The first round's
+    block of a world is its label, or the world alone over a minimal model
+    (the designated-reachable part is a generated submodel, which keeps
+    bisimilarity). Each round splits blocks by the per-agent sets of
+    successor blocks, until a round adds no block or every world has its
+    own. The reachable set is closed under every agent's successors, so no
+    successor needs filtering. Blocks are numbered in order of their
+    smallest world. When every world is reachable and has its own block,
+    the state itself is returned, its model marked minimal.
     """
     if state._contracted:
         return state
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
-    labels = model.labels
-    if model._minimal or len({labels[w] for w in reach}) == len(reach):
-        if len(reach) == model.n:
+    tables = [model._successor_table(agent) for agent in model.vocab.agents]
+    block = model.labels
+    count = len(reach) if model._minimal else len({block[w] for w in reach})
+    while count < len(reach):
+        ids: dict[tuple, int] = {}
+        new_block = [0] * model.n
+        for w in reach:
+            sig = (block[w], tuple(frozenset([block[v] for v in table[w]]) for table in tables))
+            new_block[w] = ids.setdefault(sig, len(ids))
+        if len(ids) == count:
+            break
+        block, count = new_block, len(ids)
+    if count == len(reach):
+        if count == model.n:
             object.__setattr__(model, "_minimal", True)
             object.__setattr__(state, "_contracted", True)
             return state
         ordered_blocks = [[w] for w in reach]
     else:
-        in_reach = set(reach)
-
-        def succ(agent: Agent, w: int):
-            return [v for v in model.successors(agent, w) if v in in_reach]
-
-        ids: dict[frozenset[Atom], int] = {}  # one initial block per distinct label
-        by_label = {w: ids.setdefault(labels[w], len(ids)) for w in reach}
-        block = _refine(reach, succ, model.vocab.agents, by_label)
-
-        # One quotient world per block, ordered by smallest member index.
-        members: dict[int, list[int]] = {}
+        members: dict[object, list[int]] = {}
         for w in reach:
             members.setdefault(block[w], []).append(w)
-        ordered_blocks = sorted(members.values(), key=lambda ws: min(ws))
+        ordered_blocks = list(members.values())
     block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
 
-    names = tuple(model.world_names[min(ws)] for ws in ordered_blocks)
+    names = tuple(model.world_names[ws[0]] for ws in ordered_blocks)
     edges = {
         agent: frozenset((block_of[u], block_of[v]) for (u, v) in model.edges[agent]
-                         if u in block_of and v in block_of and block_of[u] != block_of[v])
+                         if u in block_of and block_of[u] != block_of[v])
         for agent in model.vocab.agents
     }
     designated = {block_of[w] for w in state.designated}
     contracted = EpistemicModel._trusted(
-        model.vocab, names, tuple(labels[min(ws)] for ws in ordered_blocks), edges
+        model.vocab, names, tuple(model.labels[ws[0]] for ws in ordered_blocks), edges
     )
     object.__setattr__(contracted, "_minimal", True)
     out = EpistemicState(contracted, designated)
@@ -376,9 +349,7 @@ def canonical_key(state: EpistemicState) -> bytes:
 
     sigs: list[tuple] = [(label_keys[w], w in c.designated) for w in range(n)]
     rank = _ranks(sigs)
-    for _ in range(n):
-        if max(rank) == n - 1:
-            break  # discrete: another round cannot change a rank
+    while max(rank) < n - 1:  # a discrete ranking cannot change
         sigs = [
             (
                 rank[w],

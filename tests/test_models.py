@@ -271,6 +271,19 @@ class TestBisimContract:
                         scan = {w} | {v for (u, v) in model.edges[agent] if u == w}
                         assert model.successors(agent, w) == tuple(sorted(scan))
 
+    def test_one_atom_states_match_reference(self):
+        # With one atom, most worlds share a label, so refinement runs
+        # several rounds. The reference gets an unmarked copy first: the
+        # contraction under test marks the input's model minimal.
+        rng = random.Random(97)
+        for _ in range(1000):
+            state = gen_state(rng, gen_vocab(rng, max_atoms=1, max_agents=3), max_worlds=8)
+            expected = reference.bisim_contract(_unmarked_copy(state))
+            expected_key = reference.canonical_key(_unmarked_copy(state))
+            c = bisim_contract(state)
+            assert c == expected and c.model.world_names == expected.model.world_names
+            assert canonical_key(state) == expected_key
+
     def test_unreachable_worlds_dropped(self):
         vocab = Vocabulary(["p"], ["a"])
         p = vocab.atom("p")
@@ -374,6 +387,20 @@ def _unmarked_copy(state):
     )
 
 
+def _chains(k, copies):
+    """``copies`` a-chains of k worlds labelled {p} and one unlabelled last
+    world, designated at the first world; its first world also has an a-edge
+    to each later chain's start."""
+    vocab = Vocabulary(["p"], ["a"])
+    p = vocab.atom("p")
+    labels = ([{p}] * k + [set()]) * copies
+    edges = [(c * (k + 1) + i, c * (k + 1) + i + 1) for c in range(copies) for i in range(k)]
+    edges += [(0, c * (k + 1)) for c in range(1, copies)]
+    names = [f"w{i}" for i in range(len(labels))]
+    model = EpistemicModel(vocab, names, labels, {vocab.agent("a"): edges})
+    return EpistemicState(model, {0})
+
+
 def _walk_states(rng, tasks):
     """Initial states, successors and contracted successors, two steps deep,
     of fixed-seed generated tasks with up to three agents."""
@@ -427,6 +454,25 @@ class TestContractedMark:
             assert c is not state and c.model.n == 1
             assert c._contracted and not state._contracted
             assert bisim_contract(state) is not state
+
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_refinement_to_one_block_per_world_returns_the_state(self, k):
+        # k worlds labelled {p} in an a-chain that ends in an unlabelled
+        # world: they share a label, but refinement splits them apart.
+        state = _chains(k, 1)
+        assert bisim_contract(state) is state
+        assert state._contracted and state.model._minimal
+
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_linked_chains_merge(self, k):
+        # A second chain, reached from the first world, is bisimilar to the
+        # first world by world.
+        state = _chains(k, 2)
+        c = bisim_contract(state)
+        assert c.model.world_names == tuple(f"w{i}" for i in range(k + 1))
+        assert c.designated == {0}
+        expected = reference.bisim_contract(_chains(k, 2))
+        assert c == expected and c.model.world_names == expected.model.world_names
 
     def test_contracting_a_copy_of_a_marked_state_gives_an_equal_state(self):
         rng = random.Random(83)
