@@ -731,11 +731,7 @@ class _Resolver:
 
         if self.diagnostics:
             return None
-        try:
-            return Vocabulary(atom_names, agent_names)
-        except VocabularyError as exc:  # pragma: no cover - guarded above
-            self.diagnostics.append(Diagnostic(1, 1, str(exc)))
-            return None
+        return Vocabulary(atom_names, agent_names)
 
     # -- phase 2: schemas ---------------------------------------------------
 
