@@ -276,9 +276,9 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     The result is marked contracted and its model minimal; a state already
     marked contracted is returned at once.
 
-    One loop refines the blocks of the reachable worlds. The first round's
-    block of a world is its label, or the world alone over a minimal model
-    (the designated-reachable part is a generated submodel, which keeps
+    One loop refines the blocks of the reachable worlds. A world's first
+    block is its label, or the world alone over a minimal model (the
+    designated-reachable part is a generated submodel, which keeps
     bisimilarity). Each round splits blocks by the per-agent sets of
     successor blocks, until a round adds no block or every world has its
     own. The reachable set is closed under every agent's successors, so no
@@ -291,8 +291,8 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
     tables = [model._successor_table(agent) for agent in model.vocab.agents]
-    block = model.labels
-    count = len(reach) if model._minimal else len({block[w] for w in reach})
+    block = range(model.n) if model._minimal else model.labels
+    count = len({block[w] for w in reach})
     while count < len(reach):
         ids: dict[tuple, int] = {}
         new_block = [0] * model.n
@@ -302,17 +302,14 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         if len(ids) == count:
             break
         block, count = new_block, len(ids)
-    if count == len(reach):
-        if count == model.n:
-            object.__setattr__(model, "_minimal", True)
-            object.__setattr__(state, "_contracted", True)
-            return state
-        ordered_blocks = [[w] for w in reach]
-    else:
-        members: dict[object, list[int]] = {}
-        for w in reach:
-            members.setdefault(block[w], []).append(w)
-        ordered_blocks = list(members.values())
+    if count == model.n:
+        object.__setattr__(model, "_minimal", True)
+        object.__setattr__(state, "_contracted", True)
+        return state
+    members: dict[object, list[int]] = {}
+    for w in reach:
+        members.setdefault(block[w], []).append(w)
+    ordered_blocks = list(members.values())
     block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
 
     names = tuple(model.world_names[ws[0]] for ws in ordered_blocks)
