@@ -983,20 +983,28 @@ def _edges(
     """Every explicit agent edge of a state or action model, listed once as
     (agent, u, v, two_way, guard). Per agent in vocabulary order: first the
     pairs present both ways with equal guards (as u < v), then the remaining
-    directed pairs, each group sorted. State edges carry the top guard."""
+    directed pairs, each group in (u, v) order. State edges carry the top
+    guard and are read along the model's sorted successor rows."""
     if isinstance(value, EpistemicState):
-        vocab = value.model.vocab
-        guards = lambda agent: dict.fromkeys(value.model.edges[agent], TOP)  # noqa: E731
-    else:
-        vocab = value.vocab
-        guards = value.guards
-    for agent in vocab.agents:
-        table = guards(agent)
+        model = value.model
+        for agent in model.vocab.agents:
+            edges = model.edges[agent]
+            one_way = []
+            for u in range(model.n):
+                for v in model.successors(agent, u):
+                    if (v, u) in edges:
+                        if u < v:
+                            yield agent, u, v, True, TOP
+                    elif v != u:
+                        one_way.append((agent, u, v, False, TOP))
+            yield from one_way
+        return
+    for agent in value.vocab.agents:
+        table = value.guards(agent)
         two_way, one_way = [], []
         for (u, v), guard in table.items():
             back = table.get((v, u))
-            # Identity first: every state edge shares the one TOP object.
-            if back is guard or (back is not None and back == guard):
+            if back is not None and back == guard:
                 if u < v:
                     two_way.append((u, v, guard))
             else:
@@ -1058,15 +1066,26 @@ def _serialize_action(action: EpistemicAction) -> list[str]:
 
 
 def render_state(state: EpistemicState) -> str:
-    """Multi-line listing of worlds, labels, edges, and designation."""
+    """Multi-line listing of worlds, labels, edges (in :func:`_edges` order,
+    each formatted where its successor row is read), and designation."""
     model = state.model
+    names = model.world_names
     lines = []
     for w in range(model.n):
         mark = " [designated]" if w in state.designated else ""
-        lines.append(f"world {model.world_names[w]}{mark}: {_label(model, w)}")
-    for agent, u, v, two_way, _ in _edges(state):
-        arrow = "--" if two_way else "->"
-        lines.append(f"edge {agent.name}: {model.world_names[u]} {arrow} {model.world_names[v]}")
+        lines.append(f"world {names[w]}{mark}: {_label(model, w)}")
+    for agent in model.vocab.agents:
+        edges = model.edges[agent]
+        prefix = f"edge {agent.name}: "
+        one_way = []
+        for u in range(model.n):
+            for v in model.successors(agent, u):
+                if (v, u) in edges:
+                    if u < v:
+                        lines.append(f"{prefix}{names[u]} -- {names[v]}")
+                elif v != u:
+                    one_way.append(f"{prefix}{names[u]} -> {names[v]}")
+        lines += one_way
     return "\n".join(lines)
 
 

@@ -92,7 +92,7 @@ class TestApply:
         ids=["common-knowledge-check", "contract"],
     )
     def test_eight_private_asks_pinned(self, capsys, tail, length, digest):
-        # Eight private asks build a 256-world model: product update, C
+        # Eight private asks build a 512-world model: product update, C
         # evaluation, contraction and rendering on a large model.
         code, out, _ = run(capsys, "apply", PRIVATE, "--actions", *["AskWhetherPO1"] * 8, *tail)
         data = out.encode("utf-8")

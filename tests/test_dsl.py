@@ -1,19 +1,39 @@
 """Task-document parsing, diagnostics, serialization, and DOT export."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from conftest import GOLDEN_DIR, TASK_FILES, load_doc
+import reference_render as reference
+from conftest import (
+    GOLDEN_DIR,
+    TASK_FILES,
+    gen_action,
+    gen_equivalence_state,
+    gen_state,
+    gen_vocab,
+    load_doc,
+)
 from eplan import (
     TaskParseError,
     Top,
     Vocabulary,
+    bisim_contract,
     export_dot,
     parse_task,
+    product_update,
     serialize_task,
 )
-from eplan.dsl import MAX_FORMULA_NESTING, parse_formula, render_state, render_state_line
+from eplan.cli import _state_payload
+from eplan.dsl import (
+    MAX_FORMULA_NESTING,
+    _serialize_state,
+    parse_formula,
+    render_state,
+    render_state_line,
+)
 
 
 MINIMAL = """
@@ -395,3 +415,62 @@ class TestRenderers:
         line = render_state_line(po2.initial)
         assert line.startswith("w1*[")
         assert "| Father:w1--w2" in line
+
+
+def _assert_listed_as_reference(state):
+    assert render_state(state) == reference.render_state(state)
+    assert render_state_line(state) == reference.render_state_line(state)
+    assert export_dot(state) == reference.export_dot(state)
+    assert _serialize_state(state, "s") == reference._serialize_state(state, "s")
+    assert json.dumps(_state_payload(state)) == json.dumps(reference.state_payload(state))
+
+
+class TestListingOracle:
+    """State edges read along the successor rows list the same bytes as
+    the sorted edge set of ``tests/reference_render.py``."""
+
+    def test_generated_states(self):
+        rng = random.Random(2020)
+        shapes = {"one world": 0, "no edges": 0, "one-way": 0, "two-way": 0}
+        for i in range(1000):
+            vocab = gen_vocab(rng, max_atoms=2, max_agents=3)
+            gen = gen_state if i % 4 else gen_equivalence_state
+            state = gen(rng, vocab, max_worlds=6)
+            shapes["one world"] += state.model.n == 1
+            shapes["no edges"] += not any(state.model.edges[a] for a in vocab.agents)
+            for agent in vocab.agents:
+                pairs = state.model.edges[agent]
+                shapes["one-way"] += any((v, u) not in pairs for (u, v) in pairs)
+                shapes["two-way"] += any((v, u) in pairs for (u, v) in pairs)
+            _assert_listed_as_reference(state)
+        assert all(shapes.values()), shapes
+
+    def test_actions(self):
+        # The action listing keeps its guard comparison and sort.
+        rng = random.Random(2021)
+        actions = [parse_task(MIXED_EDGES).task.actions[0]]
+        actions += [a for name in TASK_FILES for a in load_doc(name).task.actions]
+        for i in range(300):
+            actions.append(gen_action(rng, gen_vocab(rng, max_agents=3), i, max_events=4))
+        for action in actions:
+            assert export_dot(action) == reference.export_dot(action)
+
+    def test_private_asks(self, ask_private):
+        # k private asks: 2 ** (k + 1) worlds, mostly one-way Employee2
+        # edges; 512 worlds and 13,122 Employee2 edges at k = 8.
+        ask = ask_private.action_named("AskWhetherPO1")
+        state = ask_private.initial
+        for k in range(9):
+            if k:
+                state = product_update(state, ask)
+            _assert_listed_as_reference(state)
+            _assert_listed_as_reference(bisim_contract(state))
+        assert state.model.n == 512
+        text = render_state(state).encode("utf-8")
+        payload = json.dumps(_state_payload(state), ensure_ascii=False).encode("utf-8")
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (
+            1_695_043, "d4066bf5dfb3ba4f883cb642c5644e4bf9e635f2493bb2309a148e6cff8e3708"
+        )
+        assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
+            2_124_184, "b7554117edaf80a08d5654ca8eb20386e0a565851f895ecac361a0976ac10946"
+        )
