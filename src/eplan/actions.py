@@ -10,7 +10,6 @@ never holds only in that the latter round-trips through the DSL.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,8 +35,6 @@ from .logic import (
     validate_over,
 )
 from .models import EpistemicModel, EpistemicState
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -175,7 +172,8 @@ class EpistemicAction:
         self._check_agent(agent)
         out = self._out[agent.index]
         if any(guard is not None for e in self.designated for _, guard in out[e]):
-            log.debug(
+            import logging
+            logging.getLogger(__name__).debug(
                 "action %s: event closure for %s ignores non-trivial guards",
                 self.name,
                 agent.name,

@@ -3,7 +3,8 @@
 Exit codes: 0 success or solution found; 1 no solution within the depth
 cap; 2 usage, parse, or resolution errors, including input nested too
 deeply to evaluate; 3 a validation or check failure, or an execution that
-does not succeed (failure or cutoff).
+does not succeed (failure or cutoff); 4 any other exception (a library
+bug, an exhausted resource): one ``internal error:`` line, no traceback.
 ``solve`` always validates its own output before printing, so an internal
 soundness bug surfaces as exit 3, never as a silently wrong plan.
 Identical invocations produce byte-identical output; set EPLAN_LOG=debug
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -49,6 +49,7 @@ JSON_VERSION = 1
 def main(argv=None) -> int:
     name = os.environ.get("EPLAN_LOG", "").upper()
     if name:
+        import logging
         # Only registered level names count; anything else means WARNING.
         level = logging.getLevelName(name)
         logging.basicConfig(
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
         errors = [exc]
     except RecursionError:
         errors = ["input is nested too deeply"]
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     return 2

@@ -525,13 +525,42 @@ class TestErrors:
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_unknown_log_level_is_not_a_traceback(self):
-        env = dict(os.environ, EPLAN_LOG="basic_format")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "eplan", "check", PO2, "top"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _run_python("-m", "eplan", "check", PO2, "top", EPLAN_LOG="basic_format")
         assert proc.returncode == 0 and proc.stdout == "true\n"
         assert "Traceback" not in proc.stderr
+
+    def test_debug_log_lines(self):
+        proc = _run_python(
+            "-m", "eplan", "solve", WRAP, "--mode", "policy", "--max-depth", "5",
+            EPLAN_LOG="debug",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"DEBUG:eplan.actions:action Wrap(Father,Present,{place}): event closure"
+            " for Father ignores non-trivial guards\n"
+            for place in ("Home", "PostOffice")
+        )
+
+    def test_import_leaves_logging_out(self):
+        proc = _run_python(
+            "-c", "import sys, eplan.cli; print('logging' in sys.modules)", EPLAN_LOG=""
+        )
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
+        def broken(task, max_depth):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("eplan.cli.solve_policy", broken)
+        code, out, err = run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8")
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
+
+
+def _run_python(*argv, **env):
+    """Run a Python subprocess on the package under test, with ``env``
+    added to its environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
