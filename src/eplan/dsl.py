@@ -50,6 +50,8 @@ BLOCK_KEYWORDS = (
 )
 RESERVED_HEADS = {"top", "bot", "K", "C"}
 DEFAULT_GROUND_CAP = 10_000
+# The name serialize_task gives the initial state.
+_INITIAL_NAME = "s0"
 # Formulas are parsed, evaluated and rendered recursively, one call per
 # level of `!`, `K`, `C` or parentheses; deeper input is rejected with a
 # positioned diagnostic instead of exhausting the interpreter's stack.
@@ -624,11 +626,11 @@ class _Resolver:
         vocab = self._build_vocab()
         if vocab is None:
             return None
-        self.vocab_ref = vocab
+        self.vocab = vocab
         schema_groups = self._ground_schemas(vocab)
-        explicit = self._build_actions(vocab)
-        states = self._build_states(vocab)
-        goal = self._build_goal(vocab)
+        explicit = self._resolve_graphs("action")
+        states = self._resolve_graphs("state")
+        goal = self._build_goal()
 
         if not doc.tasks:
             self.diagnostics.append(Diagnostic(1, 1, "missing task block"))
@@ -784,57 +786,80 @@ class _Resolver:
             (pos if positive else neg).append(SchemaAtom(head.text, [a.text for a in args]))
         return SchemaLiterals(pos, neg)
 
-    # -- phase 3: explicit action models ------------------------------------
+    # -- phases 3 and 4: action and state blocks ----------------------------
 
-    def _build_actions(self, vocab: Vocabulary) -> dict[str, EpistemicAction]:
-        out: dict[str, EpistemicAction] = {}
-        for raw in self.doc.actions:
-            self.record("action", raw.name)
+    def _resolve_graphs(self, kind: str) -> dict:
+        """The ``action`` or ``state`` blocks (``kind``) by name. Per block:
+        its nodes, each read by :meth:`_event` or :meth:`_world` and indexed
+        even when its body fails; then its edges; then its designated set;
+        then the action or state itself."""
+        is_action = kind == "action"
+        node_kind, read = ("event", self._event) if is_action else ("world", self._world)
+        out: dict = {}
+        for raw in self.doc.actions if is_action else self.doc.states:
+            self.record(kind, raw.name)
             if raw.name.text in out:
-                self.note(raw.name, f"duplicate action: {raw.name.text}")
+                self.note(raw.name, f"duplicate {kind}: {raw.name.text}")
                 continue
-            events: list[Event] = []
-            index: dict[str, int] = {}
+            values: list = []
+            index: dict[str, int] = {}  # node names in document order
             ok = True
-            for name, (pre_tokens, post_tokens) in raw.nodes:
-                self.record(f"event {raw.name.text}", name)
+            for name, body in raw.nodes:
+                self.record(f"{node_kind} {raw.name.text}", name)
                 if name.text in index:
-                    self.note(name, f"duplicate event: {name.text}")
+                    self.note(name, f"duplicate {node_kind}: {name.text}")
                     ok = False
                     continue
-                pre = self._formula(pre_tokens, name) if pre_tokens else TOP
-                post_formula = self._formula(post_tokens, name) if post_tokens else TOP
-                if pre is None or post_formula is None:
+                value = read(name, body)
+                if value is None:
                     ok = False
-                    continue
-                try:
-                    post = LiteralConjunction.from_formula(post_formula)
-                except ConsistencyError as exc:
-                    self.note(name, f"inconsistent postcondition: {exc}")
-                    ok = False
-                    continue
-                index[name.text] = len(events)
-                events.append(Event(name.text, pre, post))
-            designated = self._resolve_names(raw.designated, index, "event")
+                index[name.text] = len(values)
+                values.append(value)
             edges: list[EdgeGuard] = []
             for redge in raw.edges:
-                resolved = self._resolve_edge(redge, index, vocab, "event")
+                resolved = self._resolve_edge(redge, index, node_kind)
                 if resolved is None:
                     ok = False
                 else:
                     edges.extend(resolved)
+            designated = self._resolve_names(raw.designated, index, node_kind)
             if not raw.designated:
-                self.note(raw.name, f"action {raw.name.text}: empty designated set")
+                self.note(raw.name, f"{kind} {raw.name.text}: empty designated set")
                 ok = False
             if not ok or designated is None:
                 continue
             try:
-                out[raw.name.text] = EpistemicAction(
-                    raw.name.text, vocab, events, designated, edges
-                )
+                if is_action:
+                    out[raw.name.text] = EpistemicAction(
+                        raw.name.text, self.vocab, values, designated, edges
+                    )
+                else:
+                    pairs: dict = {}
+                    for edge in edges:
+                        pairs.setdefault(edge.agent, []).append((edge.source, edge.target))
+                    model = EpistemicModel(self.vocab, list(index), values, pairs)
+                    out[raw.name.text] = EpistemicState(model, designated)
             except (ModelError, VocabularyError) as exc:
                 self.note(raw.name, str(exc))
         return out
+
+    def _event(self, name: Token, body: tuple[list[Token], list[Token]]) -> Event | None:
+        pre_tokens, post_tokens = body
+        pre = self._formula(pre_tokens, name) if pre_tokens else TOP
+        post = self._formula(post_tokens, name) if post_tokens else TOP
+        if pre is None or post is None:
+            return None
+        try:
+            return Event(name.text, pre, LiteralConjunction.from_formula(post))
+        except ConsistencyError as exc:
+            self.note(name, f"inconsistent postcondition: {exc}")
+            return None
+
+    def _world(self, name: Token, refs: list[Token]) -> list | None:
+        unknown = [ref for ref in refs if not self.vocab.has_atom(ref.text)]
+        for ref in unknown:
+            self.note(ref, f"unknown atom: {ref.text}")
+        return None if unknown else [self.vocab.atom(ref.text) for ref in refs]
 
     def _resolve_names(
         self, names: list[Token], index: dict[str, int], what: str
@@ -849,13 +874,11 @@ class _Resolver:
                 out.append(index[name.text])
         return out if ok else None
 
-    def _resolve_edge(
-        self, redge: _RawEdge, index: dict[str, int], vocab: Vocabulary, what: str
-    ):
-        if not vocab.has_agent(redge.agent.text):
+    def _resolve_edge(self, redge: _RawEdge, index: dict[str, int], what: str):
+        if not self.vocab.has_agent(redge.agent.text):
             self.note(redge.agent, f"unknown agent: {redge.agent.text}")
             return None
-        agent = vocab.agent(redge.agent.text)
+        agent = self.vocab.agent(redge.agent.text)
         if redge.source.text not in index:
             self.note(redge.source, f"unknown {what}: {redge.source.text}")
             return None
@@ -878,63 +901,13 @@ class _Resolver:
             self.note(where, "expected a formula")
             return None
         try:
-            return _FormulaParser(tokens, self.vocab_ref, self.diagnostics).parse()
+            return _FormulaParser(tokens, self.vocab, self.diagnostics).parse()
         except _Abort:
             return None
 
-    # -- phase 4: states ----------------------------------------------------
-
-    def _build_states(self, vocab: Vocabulary) -> dict[str, EpistemicState]:
-        out: dict[str, EpistemicState] = {}
-        for raw in self.doc.states:
-            self.record("state", raw.name)
-            if raw.name.text in out:
-                self.note(raw.name, f"duplicate state: {raw.name.text}")
-                continue
-            labels: list[list] = []
-            index: dict[str, int] = {}  # world names in document order
-            ok = True
-            for name, refs in raw.nodes:
-                self.record(f"world {raw.name.text}", name)
-                if name.text in index:
-                    self.note(name, f"duplicate world: {name.text}")
-                    ok = False
-                    continue
-                atoms = []
-                for ref in refs:
-                    if not vocab.has_atom(ref.text):
-                        self.note(ref, f"unknown atom: {ref.text}")
-                        ok = False
-                    else:
-                        atoms.append(vocab.atom(ref.text))
-                index[name.text] = len(labels)
-                labels.append(atoms)
-            edges: dict = {}
-            for redge in raw.edges:
-                resolved = self._resolve_edge(redge, index, vocab, "world")
-                if resolved is None:
-                    ok = False
-                    continue
-                for guard_edge in resolved:
-                    edges.setdefault(guard_edge.agent, []).append(
-                        (guard_edge.source, guard_edge.target)
-                    )
-            designated = self._resolve_names(raw.designated, index, "world")
-            if not raw.designated:
-                self.note(raw.name, f"state {raw.name.text}: empty designated set")
-                ok = False
-            if not ok or designated is None:
-                continue
-            try:
-                model = EpistemicModel(vocab, list(index), labels, edges)
-                out[raw.name.text] = EpistemicState(model, designated)
-            except (ModelError, VocabularyError) as exc:
-                self.note(raw.name, str(exc))
-        return out
-
     # -- phase 5: goal ------------------------------------------------------
 
-    def _build_goal(self, vocab: Vocabulary) -> Formula | None:
+    def _build_goal(self) -> Formula | None:
         if not self.doc.goals:
             return None
         if len(self.doc.goals) > 1:
@@ -948,9 +921,19 @@ class _Resolver:
 # Serialization
 
 
-def serialize_task(task: EpistemicTask, initial_name: str = "s0") -> str:
+def serialize_task(task: EpistemicTask) -> str:
     """Canonical document text; parsing it back yields a structurally equal
-    task (schemas are emitted as their ground actions)."""
+    task (schemas are emitted as their ground actions, the initial state as
+    ``s0``). Raises :class:`ModelError` naming the first world, action or
+    event name that does not read back whole as one name, such as the
+    ``(w1,e)`` worlds of a product update or ``make_ask`` about ``p & q``."""
+    names = [("world", w) for w in task.initial.model.world_names]
+    for action in task.actions:
+        names.append(("action", action.name))
+        names += [("event", event.name) for event in action.events]
+    for kind, name in names:
+        if not _reads_back(name):
+            raise ModelError(f"cannot write {kind} name {name!r}: it does not parse back")
     lines: list[str] = []
     agents = ", ".join(a.name for a in task.vocab.agents)
     lines.append(f"agents {{ {agents} }}")
@@ -960,21 +943,31 @@ def serialize_task(task: EpistemicTask, initial_name: str = "s0") -> str:
         lines.append(f"  {atom.name};")
     lines.append("}")
     lines.append("")
-    lines.extend(_serialize_state(task.initial, initial_name))
+    lines.extend(_serialize_block(task.initial, _INITIAL_NAME))
     for action in task.actions:
         lines.append("")
-        lines.extend(_serialize_action(action))
+        lines.extend(_serialize_block(action, action.name))
     lines.append("")
     lines.append(f"goal {{ {render_formula(task.goal)} }}")
     lines.append("")
     lines.append("task {")
-    lines.append(f"  initial: {initial_name};")
+    lines.append(f"  initial: {_INITIAL_NAME};")
     names = ", ".join(a.name for a in task.actions)
     lines.append(f"  actions: {names};")
     if task.owner is not None:
         lines.append(f"  owner: {task.owner.name};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _reads_back(name: str) -> bool:
+    """Whether :func:`_parse_ref` reads ``name`` back whole as one name."""
+    diagnostics: list[Diagnostic] = []
+    s = _Stream(_tokenize(name, diagnostics), diagnostics)
+    try:
+        return _parse_ref(s).text == name and s.peek().kind == "eof"
+    except _Abort:
+        return False
 
 
 def _edges(
@@ -1000,20 +993,17 @@ def _edges(
             yield from one_way
         return
     for agent in value.vocab.agents:
+        # Stored in (agent, source, target) order, so never re-sorted.
         table = value.guards(agent)
-        two_way, one_way = [], []
+        one_way = []
         for (u, v), guard in table.items():
             back = table.get((v, u))
             if back is not None and back == guard:
                 if u < v:
-                    two_way.append((u, v, guard))
+                    yield agent, u, v, True, guard
             else:
-                one_way.append((u, v, guard))
-        # (u, v) is unique per agent, so sorting never compares guards.
-        for (u, v, guard) in sorted(two_way):
-            yield agent, u, v, True, guard
-        for (u, v, guard) in sorted(one_way):
-            yield agent, u, v, False, guard
+                one_way.append((agent, u, v, False, guard))
+        yield from one_way
 
 
 def _label(model: EpistemicModel, w: int, sep: str = ", ") -> str:
@@ -1022,40 +1012,33 @@ def _label(model: EpistemicModel, w: int, sep: str = ", ") -> str:
     return sep.join(atoms[i].name for i in model.vocab._label_key(model.labels[w]))
 
 
-def _serialize_state(state: EpistemicState, name: str) -> list[str]:
-    model = state.model
-    lines = [f"state {name} {{"]
-    for w in range(model.n):
-        atoms = _label(model, w)
-        body = f" {atoms} " if atoms else " "
-        lines.append(f"  world {model.world_names[w]} {{{body}}}")
-    for agent, u, v, two_way, _ in _edges(state):
+def _serialize_block(value: EpistemicState | EpistemicAction, name: str) -> list[str]:
+    """One ``state`` or ``action`` block: its worlds or events, its edges,
+    its designated set."""
+    if isinstance(value, EpistemicState):
+        model = value.model
+        kind, names = "state", model.world_names
+        nodes = []
+        for w in range(model.n):
+            atoms = _label(model, w)
+            body = f" {atoms} " if atoms else " "
+            nodes.append(f"  world {names[w]} {{{body}}}")
+    else:
+        kind, names = "action", [event.name for event in value.events]
+        nodes = []
+        for event in value.events:
+            nodes.append(f"  event {event.name} {{")
+            nodes.append(f"    pre: {render_formula(event.pre)};")
+            nodes.append(f"    post: {render_formula(event.post.to_formula())};")
+            nodes.append("  }")
+    lines = [f"{kind} {name} {{", *nodes]
+    for agent, u, v, two_way, guard in _edges(value):
         arrow = "--" if two_way else "->"
-        lines.append(
-            f"  edge {agent.name}: {model.world_names[u]} {arrow} {model.world_names[v]};"
-        )
-    designated = ", ".join(model.world_names[w] for w in sorted(state.designated))
-    lines.append(f"  designated {designated};")
-    lines.append("}")
-    return lines
-
-
-def _serialize_action(action: EpistemicAction) -> list[str]:
-    lines = [f"action {action.name} {{"]
-    for event in action.events:
-        lines.append(f"  event {event.name} {{")
-        lines.append(f"    pre: {render_formula(event.pre)};")
-        lines.append(f"    post: {render_formula(event.post.to_formula())};")
-        lines.append("  }")
-    for agent, u, v, two_way, guard in _edges(action):
-        arrow = "--" if two_way else "->"
-        line = f"  edge {agent.name}: {action.events[u].name} {arrow} {action.events[v].name}"
+        line = f"  edge {agent.name}: {names[u]} {arrow} {names[v]}"
         if not isinstance(guard, Top):
             line += f" if {render_formula(guard)}"
         lines.append(line + ";")
-    designated = ", ".join(
-        action.events[e].name for e in sorted(action.designated)
-    )
+    designated = ", ".join(names[i] for i in sorted(value.designated))
     lines.append(f"  designated {designated};")
     lines.append("}")
     return lines
@@ -1117,41 +1100,28 @@ def _dot_escape(text: str) -> str:
 def export_dot(value: EpistemicState | EpistemicAction) -> str:
     """Graphviz rendering: designated nodes double-circled, reflexive edges
     suppressed, symmetric edges drawn once without direction, guards shown
-    on edge labels; node order follows the index order."""
+    on edge labels; node order follows the index order, and every name is
+    escaped."""
     if isinstance(value, EpistemicState):
-        return _dot_state(value)
-    if isinstance(value, EpistemicAction):
-        return _dot_action(value)
-    raise TypeError("export_dot expects a state or an action")
-
-
-def _dot_state(state: EpistemicState) -> str:
-    model = state.model
-    lines = ["digraph state {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
-    for w in range(model.n):
-        atoms = _label(model, w)
-        label = model.world_names[w] + ("\\n" + _dot_escape(atoms) if atoms else "")
-        extra = ", peripheries=2" if w in state.designated else ""
-        lines.append(f'  n{w} [label="{label}"{extra}];')
-    lines.extend(_dot_edges(state))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_action(action: EpistemicAction) -> str:
-    lines = ["digraph action {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
-    for i, event in enumerate(action.events):
-        pair = f"⟨{render_formula(event.pre)}, {render_formula(event.post.to_formula())}⟩"
-        caption = _dot_escape(event.name) + "\\n" + _dot_escape(pair)
-        extra = ", peripheries=2" if i in action.designated else ""
-        lines.append(f'  n{i} [label="{caption}"{extra}];')
-    lines.extend(_dot_edges(action))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_edges(value: EpistemicState | EpistemicAction) -> Iterator[str]:
+        model = value.model
+        kind = "state"
+        nodes = [(model.world_names[w], _label(model, w)) for w in range(model.n)]
+    elif isinstance(value, EpistemicAction):
+        kind = "action"
+        nodes = [
+            (e.name, f"⟨{render_formula(e.pre)}, {render_formula(e.post.to_formula())}⟩")
+            for e in value.events
+        ]
+    else:
+        raise TypeError("export_dot expects a state or an action")
+    lines = [f"digraph {kind} {{", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
+    for i, (name, caption) in enumerate(nodes):
+        label = _dot_escape(name) + ("\\n" + _dot_escape(caption) if caption else "")
+        extra = ", peripheries=2" if i in value.designated else ""
+        lines.append(f'  n{i} [label="{label}"{extra}];')
     for agent, u, v, two_way, guard in _edges(value):
         label = agent.name if isinstance(guard, Top) else f"{agent.name}: {render_formula(guard)}"
         extra = ", dir=none" if two_way else ""
-        yield f'  n{u} -> n{v} [label="{_dot_escape(label)}"{extra}];'
+        lines.append(f'  n{u} -> n{v} [label="{_dot_escape(label)}"{extra}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

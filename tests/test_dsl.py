@@ -17,11 +17,18 @@ from conftest import (
     load_doc,
 )
 from eplan import (
+    And,
+    EpistemicModel,
+    EpistemicState,
+    EpistemicTask,
+    ModelError,
+    Prop,
     TaskParseError,
     Top,
     Vocabulary,
     bisim_contract,
     export_dot,
+    make_ask,
     parse_task,
     product_update,
     serialize_task,
@@ -29,7 +36,7 @@ from eplan import (
 from eplan.cli import _state_payload
 from eplan.dsl import (
     MAX_FORMULA_NESTING,
-    _serialize_state,
+    _serialize_block,
     parse_formula,
     render_state,
     render_state_line,
@@ -266,8 +273,14 @@ class TestBlockDiagnostics:
             (
                 "  designated e;",
                 "  edge A: e -- f;\n  designated f;",
-                ["7:14: unknown event: f", "6:16: unknown event: f"],
+                ["6:16: unknown event: f", "7:14: unknown event: f"],
             ),
+            (
+                "event e { pre: top;",
+                "event e { pre: zz;",
+                ["5:18: unknown atom: zz"],
+            ),
+            ("world w { p }", "world w { zz }", ["9:13: unknown atom: zz"]),
             ("designated w;", "", ["8:7: state s0: empty designated set"]),
             ("  designated e;\n", "", ["4:8: action skip: empty designated set"]),
             (
@@ -285,6 +298,8 @@ class TestBlockDiagnostics:
             "duplicate-event",
             "unknown-world",
             "unknown-event",
+            "event-unknown-atom",
+            "world-unknown-atom",
             "empty-state-designated",
             "empty-action-designated",
             "eof-in-block",
@@ -364,6 +379,23 @@ class TestRoundTrip:
         guards = [g for g in again.edges if not isinstance(g.condition, Top)]
         assert len(guards) == 2
 
+    def test_refuses_product_update_world_names(self, ask_private):
+        state = product_update(ask_private.initial, ask_private.actions[0])
+        task = EpistemicTask(
+            ask_private.vocab, ask_private.actions, state, ask_private.goal
+        )
+        with pytest.raises(ModelError, match=r"world name '\(w1,yes\)'"):
+            serialize_task(task)
+
+    def test_refuses_an_ask_about_a_compound_formula(self, ask_private):
+        vocab = ask_private.vocab
+        father, employee = vocab.agents[:2]
+        phi = And(Prop(vocab.atoms[0]), Prop(vocab.atoms[1]))
+        ask = make_ask(vocab, father, employee, phi)
+        task = EpistemicTask(vocab, [ask], ask_private.initial, ask_private.goal)
+        with pytest.raises(ModelError, match=r"action name 'Ask\(Father,Employee,"):
+            serialize_task(task)
+
     def test_formula_round_trip_through_text(self, po2):
         for phi in (po2.goal,):
             from eplan import render_formula
@@ -401,6 +433,11 @@ class TestDot:
         assert text.count("Employee2") == 3
         assert "dir=none" not in text
 
+    def test_world_names_are_escaped(self):
+        vocab = Vocabulary(["p"], ["a"])
+        state = EpistemicState(EpistemicModel(vocab, ['a"b\\c'], [[]]), [0])
+        assert '  n0 [label="a\\"b\\\\c", peripheries=2];' in export_dot(state)
+
     def test_stable_across_runs(self, po2):
         assert export_dot(po2.initial) == export_dot(po2.initial)
 
@@ -421,7 +458,7 @@ def _assert_listed_as_reference(state):
     assert render_state(state) == reference.render_state(state)
     assert render_state_line(state) == reference.render_state_line(state)
     assert export_dot(state) == reference.export_dot(state)
-    assert _serialize_state(state, "s") == reference._serialize_state(state, "s")
+    assert _serialize_block(state, "s") == reference._serialize_state(state, "s")
     assert json.dumps(_state_payload(state)) == json.dumps(reference.state_payload(state))
 
 
