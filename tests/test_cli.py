@@ -15,6 +15,7 @@ from eplan import Policy, parse_task, product_update
 from eplan.cli import main
 from eplan.dsl import export_dot, serialize_task
 from eplan.logic import render_formula
+from eplan.planner import PlanReport, PolicyReport, Violation
 
 PO2 = str(TASKS_DIR / "two_post_offices.eplan")
 SINGLE = str(TASKS_DIR / "birthday_single.eplan")
@@ -208,6 +209,62 @@ class TestSolvePolicy:
         assert len(tree) == 1101  # 1,100 steps, one level each, then the goal
         assert tree[-1].startswith("  " * 1101 + "[") and tree[-1].endswith("] (goal)")
         assert lines[-1] == "executions: count=1 lengths={1100}"
+
+
+class TestSolveOutcomes:
+    """The exact bytes and exit codes that both solve modes share in
+    shape: no solution within the cap, and a solution that fails the
+    solver's own validation."""
+
+    @pytest.mark.parametrize(
+        "mode, fmt, expected",
+        [
+            ("seq", "text", "no solution within depth 0\n"),
+            ("seq", "json",
+             '{"eplan": 1, "command": "solve", "mode": "seq", "max_depth": 0, "found": false}\n'),
+            ("policy", "text", "no strong policy within depth 0\n"),
+            ("policy", "json",
+             '{"eplan": 1, "command": "solve", "mode": "policy", "max_depth": 0, "found": false}\n'),
+        ],
+        ids=["seq-text", "seq-json", "policy-text", "policy-json"],
+    )
+    def test_not_found_exits_one(self, capsys, mode, fmt, expected):
+        argv = ["solve", PO2, "--mode", mode, "--max-depth", "0", "--format", fmt]
+        assert run(capsys, *argv) == (1, expected, "")
+
+    @pytest.mark.parametrize(
+        "mode, target, report, expected",
+        [
+            (
+                "seq",
+                "validate_plan",
+                PlanReport(False, "goal not satisfied after 6 steps"),
+                "internal error: produced plan failed validation:"
+                " goal not satisfied after 6 steps\n",
+            ),
+            (
+                "policy",
+                "validate_policy",
+                PolicyReport(
+                    False,
+                    (Violation("coverage", "no entry for a state"),
+                     Violation("cycle", "a state repeats", ("Go(a)", "Go(b)"))),
+                    (),
+                ),
+                "internal error: produced policy failed validation:\n"
+                "  coverage: no entry for a state\n"
+                "  cycle: a state repeats [after Go(a); Go(b)]\n",
+            ),
+        ],
+        ids=["seq", "policy"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_self_validation_exits_three(
+        self, capsys, monkeypatch, mode, target, report, expected, fmt
+    ):
+        monkeypatch.setattr(f"eplan.cli.{target}", lambda task, solution: report)
+        argv = ["solve", PO2, "--mode", mode, "--max-depth", "8", "--format", fmt]
+        assert run(capsys, *argv) == (3, "", expected)
 
 
 class TestValidate:
@@ -523,6 +580,17 @@ class TestErrors:
         policy_file.write_text(json.dumps({"eplan": 1, "owner": "Father", "entries": []}))
         argv = [str(policy_file) if arg in ("PLAN", "POLICY") else arg for arg in argv]
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "BROKEN"], ["dot", "BROKEN", "--action", "X", "--state", "Y"]],
+        ids=["validate-neither", "dot-action-and-state"],
+    )
+    def test_parse_error_comes_before_usage_error(self, capsys, tmp_path, argv):
+        broken = tmp_path / "broken.eplan"
+        broken.write_text("task {")
+        argv = [str(broken) if arg == "BROKEN" else arg for arg in argv]
+        assert run(capsys, *argv) == (2, "", "error: 1:7: expected '}', found ''\n")
 
     def test_unknown_log_level_is_not_a_traceback(self):
         proc = _run_python("-m", "eplan", "check", PO2, "top", EPLAN_LOG="basic_format")
