@@ -796,11 +796,13 @@ class _Resolver:
         is_action = kind == "action"
         node_kind, read = ("event", self._event) if is_action else ("world", self._world)
         out: dict = {}
+        seen: set[str] = set()  # every block name so far, built or not
         for raw in self.doc.actions if is_action else self.doc.states:
             self.record(kind, raw.name)
-            if raw.name.text in out:
+            if raw.name.text in seen:
                 self.note(raw.name, f"duplicate {kind}: {raw.name.text}")
                 continue
+            seen.add(raw.name.text)
             values: list = []
             index: dict[str, int] = {}  # node names in document order
             ok = True

@@ -281,6 +281,18 @@ class TestBlockDiagnostics:
                 ["5:18: unknown atom: zz"],
             ),
             ("world w { p }", "world w { zz }", ["9:13: unknown atom: zz"]),
+            (
+                "world w { p }\n  designated w;\n}\ngoal { p }\ntask { initial: s0; actions: skip; }\n",
+                "world w { zz }\n  designated w;\n}\ngoal { p }\ntask { initial: s0; actions: skip; }\n"
+                "state s0 { world v { p } designated v; }\n",
+                ["9:13: unknown atom: zz", "14:7: duplicate state: s0"],
+            ),
+            (
+                "event e { pre: top; post: top; }\n  designated e;\n}\n",
+                "event e { pre: zz; post: top; }\n  designated e;\n}\n"
+                "action skip { event f { pre: top; post: top; } designated f; }\n",
+                ["5:18: unknown atom: zz", "8:8: duplicate action: skip"],
+            ),
             ("designated w;", "", ["8:7: state s0: empty designated set"]),
             ("  designated e;\n", "", ["4:8: action skip: empty designated set"]),
             (
@@ -300,6 +312,8 @@ class TestBlockDiagnostics:
             "unknown-event",
             "event-unknown-atom",
             "world-unknown-atom",
+            "duplicate-of-a-failed-state",
+            "duplicate-of-a-failed-action",
             "empty-state-designated",
             "empty-action-designated",
             "eof-in-block",
