@@ -31,10 +31,11 @@ from .dsl import (
 )
 from .errors import EplanError, NotApplicableError, TaskParseError
 from .logic import eval_state, render_formula
-from .models import EpistemicState, bisim_contract, globals_of
+from .models import EpistemicState, bisim_contract
 from .planner import (
     EpistemicTask,
     Policy,
+    PolicyReport,
     SequentialPlan,
     execute,
     solve_policy,
@@ -58,7 +59,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every subcommand reads the task first, so a parse error comes
+        # before any usage error.
+        parsed = parse_task(Path(args.task).read_bytes())
+        return args.func(args, parsed)
     except TaskParseError as exc:
         errors = exc.diagnostics
     except (EplanError, OSError) as exc:
@@ -130,11 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ParsedDocument:
-    path = Path(args.task)
-    return parse_task(path.read_bytes())
-
-
 def _emit(args, text: str | None, payload: dict | None) -> None:
     """Write ``payload`` as JSON or ``text`` as text, as ``--format`` asks;
     the other one is not read. Every JSON payload starts with the same
@@ -179,8 +178,7 @@ def _state_payload(state: EpistemicState) -> dict:
 # Subcommands
 
 
-def cmd_check(args) -> int:
-    parsed = _load(args)
+def cmd_check(args, parsed: ParsedDocument) -> int:
     task = parsed.task
     phi = parse_formula(args.formula, task.vocab)
     value = eval_state(task.initial, phi)
@@ -188,8 +186,7 @@ def cmd_check(args) -> int:
     return 0 if value else 3
 
 
-def cmd_apply(args) -> int:
-    parsed = _load(args)
+def cmd_apply(args, parsed: ParsedDocument) -> int:
     task = parsed.task
     state = task.initial
     for name in args.actions:
@@ -226,8 +223,7 @@ def cmd_apply(args) -> int:
     return 3 if check is not None and not check["value"] else 0
 
 
-def cmd_contract(args) -> int:
-    parsed = _load(args)
+def cmd_contract(args, parsed: ParsedDocument) -> int:
     state = bisim_contract(parsed.task.initial)
     if args.format == "json":
         _emit(args, None, {"state": _state_payload(state)})
@@ -236,38 +232,43 @@ def cmd_contract(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    parsed = _load(args)
+def cmd_solve(args, parsed: ParsedDocument) -> int:
     task = parsed.task
-    if args.mode == "seq":
-        return _solve_seq(args, task)
-    return _solve_policy(args, task)
-
-
-def _solve_seq(args, task: EpistemicTask) -> int:
-    plan = solve_sequential(task, args.max_depth)
-    if plan is None:
-        _emit(
-            args,
-            f"no solution within depth {args.max_depth}",
-            {"mode": "seq", "max_depth": args.max_depth, "found": False},
-        )
+    seq = args.mode == "seq"
+    if not seq and task.owner is None:
+        raise EplanError("policy mode requires a task with an owner")
+    solution = (solve_sequential if seq else solve_policy)(task, args.max_depth)
+    head = {"mode": args.mode, "max_depth": args.max_depth, "found": solution is not None}
+    if solution is None:
+        wanted = "solution" if seq else "strong policy"
+        _emit(args, f"no {wanted} within depth {args.max_depth}", head)
         return 1
-    report = validate_plan(task, plan)
+    report = (validate_plan if seq else validate_policy)(task, solution)
     if not report.ok:
-        print(f"internal error: produced plan failed validation: {report}", file=sys.stderr)
+        # A plan's report is one line; a policy's lists its violations.
+        detail = f" {report}" if seq else "".join(f"\n  {v}" for v in report.violations)
+        print(f"internal error: produced {'plan' if seq else 'policy'} failed validation:{detail}",
+              file=sys.stderr)
         return 3
-    _emit(
-        args,
-        "\n".join(plan.steps),
-        {
-            "mode": "seq",
-            "max_depth": args.max_depth,
-            "found": True,
-            "plan": list(plan.steps),
-            "length": len(plan),
-        },
-    )
+    if seq:
+        payload = {**head, "plan": list(solution.steps), "length": len(solution)}
+        _emit(args, "\n".join(solution.steps), payload)
+        return 0
+    lengths = ",".join(str(n) for n in report.execution_lengths)
+    rows = _policy_rows(solution)
+    lines = [f"policy owner={solution.owner.name} entries={len(solution)}"]
+    for i, row in enumerate(rows):
+        lines.append(f"{i}: digest={row['digest']} action={row['action']}")
+        lines.append(f"   state: {row['state']}")
+    lines.extend(_policy_tree(solution))
+    lines.append(f"executions: count={len(report.executions)} lengths={{{lengths}}}")
+    payload = {
+        **head,
+        "owner": solution.owner.name,
+        "entries": rows,
+        "executions": _executions(report),
+    }
+    _emit(args, "\n".join(lines), payload)
     return 0
 
 
@@ -307,44 +308,9 @@ def _policy_tree(policy: Policy) -> list[str]:
     return lines
 
 
-def _solve_policy(args, task: EpistemicTask) -> int:
-    if task.owner is None:
-        raise EplanError("policy mode requires a task with an owner")
-    policy = solve_policy(task, args.max_depth)
-    if policy is None:
-        _emit(
-            args,
-            f"no strong policy within depth {args.max_depth}",
-            {"mode": "policy", "max_depth": args.max_depth, "found": False},
-        )
-        return 1
-    report = validate_policy(task, policy)
-    if not report.ok:
-        print("internal error: produced policy failed validation:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 3
-    lengths = ",".join(str(n) for n in report.execution_lengths)
-    rows = _policy_rows(policy)
-    lines = [f"policy owner={policy.owner.name} entries={len(policy)}"]
-    for i, row in enumerate(rows):
-        lines.append(f"{i}: digest={row['digest']} action={row['action']}")
-        lines.append(f"   state: {row['state']}")
-    lines.extend(_policy_tree(policy))
-    lines.append(f"executions: count={len(report.executions)} lengths={{{lengths}}}")
-    payload = {
-        "mode": "policy",
-        "max_depth": args.max_depth,
-        "found": True,
-        "owner": policy.owner.name,
-        "entries": rows,
-        "executions": {
-            "count": len(report.executions),
-            "lengths": list(report.execution_lengths),
-        },
-    }
-    _emit(args, "\n".join(lines), payload)
-    return 0
+def _executions(report: PolicyReport) -> dict:
+    """The JSON summary of a policy's executions."""
+    return {"count": len(report.executions), "lengths": list(report.execution_lengths)}
 
 
 def _load_policy_file(path: str, task: EpistemicTask) -> Policy:
@@ -359,8 +325,7 @@ def _load_policy_file(path: str, task: EpistemicTask) -> Policy:
     return Policy(owner, entries)
 
 
-def cmd_validate(args) -> int:
-    parsed = _load(args)
+def cmd_validate(args, parsed: ParsedDocument) -> int:
     task = parsed.task
     if bool(args.plan) == bool(args.policy):
         raise EplanError("validate needs exactly one of --plan or --policy")
@@ -371,50 +336,37 @@ def cmd_validate(args) -> int:
             if line.strip() and not line.strip().startswith("#")
         ]
         report = validate_plan(task, SequentialPlan(tuple(steps)))
-        _emit(
-            args,
-            report.message,
-            {
-                "kind": "plan",
-                "ok": report.ok,
-                "message": report.message,
-                "failed_step": report.failed_step,
-            },
-        )
-        return 0 if report.ok else 3
-    policy = _load_policy_file(args.policy, task)
-    report = validate_policy(task, policy)
-    lines = [str(report)]
-    lines.extend(f"violation {v}" for v in report.violations)
-    _emit(
-        args,
-        "\n".join(lines),
-        {
+        text = report.message
+        payload = {
+            "kind": "plan",
+            "ok": report.ok,
+            "message": report.message,
+            "failed_step": report.failed_step,
+        }
+    else:
+        report = validate_policy(task, _load_policy_file(args.policy, task))
+        text = "\n".join([str(report), *(f"violation {v}" for v in report.violations)])
+        payload = {
             "kind": "policy",
             "ok": report.ok,
             "violations": [str(v) for v in report.violations],
-            "executions": {
-                "count": len(report.executions),
-                "lengths": list(report.execution_lengths),
-            },
-        },
-    )
+            "executions": _executions(report),
+        }
+    _emit(args, text, payload)
     return 0 if report.ok else 3
 
 
-def cmd_execute(args) -> int:
-    parsed = _load(args)
+def cmd_execute(args, parsed: ParsedDocument) -> int:
     task = parsed.task
     policy = _load_policy_file(args.policy, task)
     initial = task.initial
-    starts = globals_of(initial)
-    if args.start is not None:
+    if args.start is None:
+        index = min(initial.designated)
+    else:
         index = initial.model.world_index(args.start)
         if index not in initial.designated:
             raise EplanError(f"world {args.start} is not designated")
-        start = EpistemicState(initial.model, {index})
-    else:
-        start = starts[0]
+    start = EpistemicState(initial.model, {index})
     result = execute(task, policy, start, seed=args.seed, max_steps=args.max_steps)
     lines = [f"start: {render_state_line(result.states[0])}"]
     for i, name in enumerate(result.actions):
@@ -433,8 +385,7 @@ def cmd_execute(args) -> int:
     return 0 if result.outcome == "success" else 3
 
 
-def cmd_dot(args) -> int:
-    parsed = _load(args)
+def cmd_dot(args, parsed: ParsedDocument) -> int:
     if args.action and args.state:
         raise EplanError("choose one of --action or --state")
     if args.action:
