@@ -326,6 +326,82 @@ class TestBlockDiagnostics:
         assert [str(d) for d in exc.value.diagnostics] == expected
 
 
+class TestNameDiagnostics:
+    """The exact diagnostics of names that do not resolve (agents, atoms,
+    worlds, actions, states) and of the task block, one edit of
+    ``MINIMAL`` each: message, position and order."""
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("actions: skip; }", "actions: skip; owner: Z; }", ["13:43: unknown agent: Z"]),
+            ("actions: skip;", "actions: skip, hop;", ["13:36: unknown action: hop"]),
+            ("initial: s0;", "initial: s9;", ["13:17: unknown state: s9"]),
+            ("initial: s0; ", "", ["13:6: task has no initial state"]),
+            ("goal { p }\n", "goal { p }\ngoal { p }\n", ["13:6: more than one goal block"]),
+            ("designated w;", "edge Z: w -- w;\n  designated w;", ["10:8: unknown agent: Z"]),
+            ("designated w;", "edge A: v -> w;\n  designated w;", ["10:11: unknown world: v"]),
+            ("designated w;", "edge A: w -> v;\n  designated w;", ["10:16: unknown world: v"]),
+            ("goal { p }", "goal { K[Z] p }", ["12:10: unknown agent: Z"]),
+            ("goal { p }", "goal { p & zz }", ["12:12: unknown atom: zz"]),
+            (
+                "world w { p }",
+                "world w { zz, yy }",
+                ["9:13: unknown atom: zz", "9:17: unknown atom: yy"],
+            ),
+            ("agents { A }", "agents { A, A }", ["2:13: duplicate agent: A"]),
+            (
+                "world w { p }\n  designated w;\n}\ngoal { p }\ntask { initial: s0; actions: skip; }",
+                "world w { p }\n  world v { }\n  edge A: w -- v;\n  designated w;\n}\ngoal { p }\n"
+                "task { initial: s0; actions: skip; owner: A; }",
+                ["15:6: initial state is not local for owner A"],
+            ),
+        ],
+        ids=[
+            "unknown-owner",
+            "unknown-action",
+            "unknown-initial-state",
+            "no-initial-state",
+            "second-goal",
+            "edge-unknown-agent",
+            "edge-unknown-source",
+            "edge-unknown-target",
+            "goal-unknown-agent",
+            "goal-unknown-atom",
+            "world-two-unknown-atoms",
+            "duplicate-agent",
+            "initial-not-local",
+        ],
+    )
+    def test_exact_diagnostics(self, old, new, expected):
+        assert old in MINIMAL
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(MINIMAL.replace(old, new))
+        assert [str(d) for d in exc.value.diagnostics] == expected
+
+    def test_task_action_precedence(self):
+        # A task's action name is an action block's first, then a schema's
+        # (all its ground instances), then one ground instance's.
+        text = MINIMAL.replace(
+            "atoms { p }",
+            "sorts { T }\nobjects { T: a, b }\natoms { p }\n"
+            "schema Go(x: T) { pre: top; effect: p; }\n"
+            "schema Flip(x: T) { pre: top; effect: p; }\n"
+            "schema Hop(x: T) { pre: top; effect: p; }\n"
+            "action Flip(a) { event own { pre: top; post: top; } designated own; }\n"
+            "action Hop { event h { pre: top; post: top; } designated h; }\n",
+        ).replace("actions: skip;", "actions: skip, Go, Flip(b), Flip(a), Hop;")
+        actions = parse_task(text).task.actions
+        assert [(a.name, [e.name for e in a.events]) for a in actions] == [
+            ("skip", ["e"]),
+            ("Go(a)", ["e"]),
+            ("Go(b)", ["e"]),
+            ("Flip(b)", ["e"]),
+            ("Flip(a)", ["own"]),
+            ("Hop", ["h"]),
+        ]
+
+
 class TestNestingLimit:
     """Formulas nested past ``MAX_FORMULA_NESTING`` levels end in one
     positioned diagnostic, not in the interpreter's recursion limit."""
