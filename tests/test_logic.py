@@ -260,6 +260,16 @@ class TestFormulaBasics:
         assert parse_formula("p & q & !r", vocab) == phi
         assert render_formula(and_all([p] * 3000)) == " & ".join(["p"] * 3000)
 
+    def test_bot_parses_renders_and_evaluates(self, po2):
+        phi = parse_formula("bot", po2.vocab)
+        assert phi == BOTTOM
+        assert render_formula(phi) == "bot"
+        assert eval_state(po2.initial, phi) is False
+        either = parse_formula("!bot | bot", po2.vocab)
+        assert either == Or(Not(BOTTOM), BOTTOM)
+        assert render_formula(either) == "!bot | bot"
+        assert eval_state(po2.initial, either) is True
+
     def test_render_parse_round_trip(self):
         rng = random.Random(13)
         vocab = Vocabulary(["p0", "p1", "At(x,y)"], ["a0", "a1"])
