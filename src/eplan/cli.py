@@ -330,9 +330,13 @@ def cmd_validate(args, parsed: ParsedDocument) -> int:
     if bool(args.plan) == bool(args.policy):
         raise EplanError("validate needs exactly one of --plan or --policy")
     if args.plan:
+        try:
+            lines = Path(args.plan).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise EplanError(f"not a plan file: {args.plan} ({exc})") from None
         steps = [
             line.strip()
-            for line in Path(args.plan).read_text(encoding="utf-8").splitlines()
+            for line in lines
             if line.strip() and not line.strip().startswith("#")
         ]
         report = validate_plan(task, SequentialPlan(tuple(steps)))

@@ -101,6 +101,29 @@ class TestApply:
         assert len(data) == length
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_check_json_payload(self, capsys):
+        code, out, err = run(capsys, "apply", PO2, "--check", "bot | top", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "eplan": 1,
+            "command": "apply",
+            "actions": [],
+            "contracted": False,
+            "state": {
+                "worlds": [
+                    {"name": "w1", "designated": True,
+                     "atoms": ["At(Father,Home)", "At(Present,PostOffice1)"]},
+                    {"name": "w2", "designated": True,
+                     "atoms": ["At(Father,Home)", "At(Present,PostOffice2)"]},
+                ],
+                "edges": [
+                    {"agent": "Father", "source": "w1", "target": "w2"},
+                    {"agent": "Father", "source": "w2", "target": "w1"},
+                ],
+            },
+            "check": {"formula": "bot | top", "value": True},
+        }
+
     def test_contract_flag(self, capsys):
         code, out, _ = run(capsys, "apply", PO2, "--contract", "--format", "json")
         payload = json.loads(out)
@@ -367,6 +390,16 @@ class TestValidate:
         code, out, err = run(capsys, "validate", task, "--policy", str(policy_file))
         assert (code, out, err) == (3, expected, "")
 
+    def test_non_utf8_plan_file_exits_two(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, "validate", PO2, "--plan", str(plan))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: not a plan file: {plan} ('utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte)\n"
+        )
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "validate", PO2)
         assert code == 2
@@ -591,6 +624,12 @@ class TestErrors:
         broken.write_text("task {")
         argv = [str(broken) if arg == "BROKEN" else arg for arg in argv]
         assert run(capsys, *argv) == (2, "", "error: 1:7: expected '}', found ''\n")
+
+    @pytest.mark.parametrize("mode", ["seq", "policy"])
+    def test_negative_depth_cap_exits_two(self, capsys, mode):
+        assert run(capsys, "solve", PO2, "--mode", mode, "--max-depth", "-1") == (
+            2, "", "error: depth cap must be non-negative\n"
+        )
 
     def test_unknown_log_level_is_not_a_traceback(self):
         proc = _run_python("-m", "eplan", "check", PO2, "top", EPLAN_LOG="basic_format")
