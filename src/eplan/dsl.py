@@ -129,8 +129,8 @@ class _Stream:
         self.pos = 0
         self.diagnostics = diagnostics
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -139,7 +139,7 @@ class _Stream:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text
 
     def eat(self, text: str) -> bool:
         if self.at(text):
@@ -181,6 +181,16 @@ class _Stream:
             elif depth == 0 and tok.kind == "ident" and tok.text in BLOCK_KEYWORDS:
                 return
             self.next()
+
+
+def _find(diagnostics: list[Diagnostic], table: dict, name: Token, what: str):
+    """``table[name.text]``, or None after an ``unknown <what>: <name>``
+    diagnostic at the name. Callers test ``is None``: a world or event
+    index of 0 is found."""
+    value = table.get(name.text)
+    if value is None:
+        diagnostics.append(Diagnostic(name.line, name.col, f"unknown {what}: {name.text}"))
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +311,7 @@ def _parse_edge(s: _Stream, allow_guard: bool) -> _RawEdge:
         raise s.error("expected '--' or '->'")
     target = _parse_ref(s, "an endpoint")
     guard_tokens = None
-    if s.peek().kind == "ident" and s.peek().text == "if":
+    if s.at("if"):
         if not allow_guard:
             raise s.error("state edges cannot carry guards")
         s.next()
@@ -416,8 +426,7 @@ def _parse_schema(s: _Stream) -> _RawSchema:
 
 
 def _parse_schema_literals(s: _Stream, out: list[_Literal]) -> None:
-    if s.peek().text == "top":
-        s.next()
+    if s.eat("top"):
         return
     while True:
         positive = not s.eat("!")
@@ -523,32 +532,29 @@ class _FormulaParser:
         tok = s.peek()
         if s.eat("!"):
             return Not(self._nested(self._unary, tok))
-        if tok.kind == "ident" and tok.text == "K":
-            s.next()
+        if s.eat("K"):
             s.expect("[")
             agent_tok = s.expect_ident("an agent name")
             s.expect("]")
-            if not self.vocab.has_agent(agent_tok.text):
-                raise s.error(f"unknown agent: {agent_tok.text}", agent_tok)
-            return Knows(self.vocab.agent(agent_tok.text), self._nested(self._unary, tok))
-        if tok.kind == "ident" and tok.text == "C":
-            s.next()
+            agent = _find(s.diagnostics, self.vocab._agent_by_name, agent_tok, "agent")
+            if agent is None:
+                raise _Abort()
+            return Knows(agent, self._nested(self._unary, tok))
+        if s.eat("C"):
             return Common(self._nested(self._unary, tok))
-        if tok.kind == "ident" and tok.text == "top":
-            s.next()
+        if s.eat("top"):
             return Top()
-        if tok.kind == "ident" and tok.text == "bot":
-            s.next()
+        if s.eat("bot"):
             return Bottom()
         if s.eat("("):
             phi = self._nested(self._or, tok)
             s.expect(")")
             return phi
         if tok.kind == "ident":
-            ref = _parse_ref(s, "an atom")
-            if not self.vocab.has_atom(ref.text):
-                raise s.error(f"unknown atom: {ref.text}", tok)
-            return Prop(self.vocab.atom(ref.text))
+            atom = _find(s.diagnostics, self.vocab._atom_by_name, _parse_ref(s, "an atom"), "atom")
+            if atom is None:
+                raise _Abort()
+            return Prop(atom)
         raise s.error(f"expected a formula, found {tok.text!r}")
 
 
@@ -601,10 +607,9 @@ def parse_task(
     stream = _Stream(tokens, diagnostics)
     doc = _parse_raw(stream)
 
-    resolver = _Resolver(doc, diagnostics, max_ground_actions)
-    parsed = resolver.resolve()
-    if diagnostics or parsed is None:
-        raise TaskParseError(diagnostics or [Diagnostic(1, 1, "unresolved document")])
+    parsed = _Resolver(doc, diagnostics, max_ground_actions).resolve()
+    if parsed is None:
+        raise TaskParseError(diagnostics)
     return parsed
 
 
@@ -622,6 +627,7 @@ class _Resolver:
         self.source_map.setdefault(f"{namespace}:{name.text}", (name.line, name.col))
 
     def resolve(self) -> ParsedDocument | None:
+        """The resolved document, or None after at least one diagnostic."""
         doc = self.doc
         vocab = self._build_vocab()
         if vocab is None:
@@ -642,33 +648,25 @@ class _Resolver:
         if self.diagnostics:
             return None
 
-        # Ground instance names differ across schemas: each starts with its
-        # schema's name.
-        instances = {a.name: a for group in schema_groups.values() for a in group}
+        # A task's action name is an action block's, else a schema's (all
+        # its ground instances), else one ground instance's. Instance names
+        # differ across schemas: each starts with its schema's name.
+        table = {a.name: [a] for group in schema_groups.values() for a in group}
+        table.update(schema_groups)
+        table.update((name, [action]) for name, action in explicit.items())
         actions: list[EpistemicAction] = []
         for name in raw.actions:
-            if name.text in explicit:
-                actions.append(explicit[name.text])
-            elif name.text in schema_groups:
-                actions.extend(schema_groups[name.text])
-            elif name.text in instances:
-                actions.append(instances[name.text])
-            else:
-                self.note(name, f"unknown action: {name.text}")
+            actions.extend(_find(self.diagnostics, table, name, "action") or ())
+        initial = owner = None
         if raw.initial is None:
             self.note(raw.where, "task has no initial state")
-        initial = states.get(raw.initial.text) if raw.initial else None
-        if raw.initial and initial is None:
-            self.note(raw.initial, f"unknown state: {raw.initial.text}")
-        owner = None
+        else:
+            initial = _find(self.diagnostics, states, raw.initial, "state")
         if raw.owner is not None:
-            if vocab.has_agent(raw.owner.text):
-                owner = vocab.agent(raw.owner.text)
-            else:
-                self.note(raw.owner, f"unknown agent: {raw.owner.text}")
+            owner = _find(self.diagnostics, vocab._agent_by_name, raw.owner, "agent")
         if goal is None:
             self.note(raw.where, "missing goal block")
-        if self.diagnostics or initial is None or goal is None:
+        if self.diagnostics:
             return None
         try:
             task = EpistemicTask(vocab, actions, initial, goal, owner)
@@ -824,7 +822,7 @@ class _Resolver:
                     ok = False
                 else:
                     edges.extend(resolved)
-            designated = self._resolve_names(raw.designated, index, node_kind)
+            designated = self._find_all(index, raw.designated, node_kind)
             if not raw.designated:
                 self.note(raw.name, f"{kind} {raw.name.text}: empty designated set")
                 ok = False
@@ -858,34 +856,23 @@ class _Resolver:
             return None
 
     def _world(self, name: Token, refs: list[Token]) -> list | None:
-        unknown = [ref for ref in refs if not self.vocab.has_atom(ref.text)]
-        for ref in unknown:
-            self.note(ref, f"unknown atom: {ref.text}")
-        return None if unknown else [self.vocab.atom(ref.text) for ref in refs]
+        return self._find_all(self.vocab._atom_by_name, refs, "atom")
 
-    def _resolve_names(
-        self, names: list[Token], index: dict[str, int], what: str
-    ) -> list[int] | None:
-        out = []
-        ok = True
-        for name in names:
-            if name.text not in index:
-                self.note(name, f"unknown {what}: {name.text}")
-                ok = False
-            else:
-                out.append(index[name.text])
-        return out if ok else None
+    def _find_all(self, table: dict, names: list[Token], what: str) -> list | None:
+        """Each name's entry in ``table``, or None when any is missing (each
+        missing one noted by :func:`_find`)."""
+        found = [_find(self.diagnostics, table, name, what) for name in names]
+        return None if None in found else found
 
     def _resolve_edge(self, redge: _RawEdge, index: dict[str, int], what: str):
-        if not self.vocab.has_agent(redge.agent.text):
-            self.note(redge.agent, f"unknown agent: {redge.agent.text}")
+        agent = _find(self.diagnostics, self.vocab._agent_by_name, redge.agent, "agent")
+        if agent is None:
             return None
-        agent = self.vocab.agent(redge.agent.text)
-        if redge.source.text not in index:
-            self.note(redge.source, f"unknown {what}: {redge.source.text}")
+        src = _find(self.diagnostics, index, redge.source, what)
+        if src is None:
             return None
-        if redge.target.text not in index:
-            self.note(redge.target, f"unknown {what}: {redge.target.text}")
+        tgt = _find(self.diagnostics, index, redge.target, what)
+        if tgt is None:
             return None
         guard = TOP
         if redge.guard_tokens is not None:
@@ -893,7 +880,6 @@ class _Resolver:
             if parsed is None:
                 return None
             guard = parsed
-        src, tgt = index[redge.source.text], index[redge.target.text]
         if redge.symmetric:
             return [EdgeGuard(agent, src, tgt, guard), EdgeGuard(agent, tgt, src, guard)]
         return [EdgeGuard(agent, src, tgt, guard)]

@@ -79,12 +79,6 @@ class Vocabulary:
             key = self._label_keys[label] = tuple(sorted(a.index for a in label))
         return key
 
-    def has_atom(self, name: str) -> bool:
-        return name in self._atom_by_name
-
-    def has_agent(self, name: str) -> bool:
-        return name in self._agent_by_name
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
