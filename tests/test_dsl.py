@@ -402,6 +402,95 @@ class TestNameDiagnostics:
         ]
 
 
+class TestFrontEndDiagnostics:
+    """The exact diagnostics of formulas, edges, task and schema entries,
+    atom templates and schema sorts, one edit of ``MINIMAL`` each:
+    message, position and order."""
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("goal { p }", "goal { p q }", ["12:10: unexpected 'q' after formula"]),
+            ("goal { p }", "goal { p & }", ["12:10: expected a formula, found ''"]),
+            ("goal { p }", "goal { }", ["12:6: expected a formula"]),
+            ("designated w;", "edge A: w w;\n  designated w;", ["10:13: expected '--' or '->'"]),
+            ("actions: skip; }", "actions: skip; foo: A; }", ["13:36: unknown task entry 'foo'"]),
+            (
+                "  designated e;",
+                "  event f { pre: top; post: top; }\n  edge A: e -> f;\n  edge A: e -> f;\n"
+                "  designated e;",
+                ["4:8: action skip: duplicate edge A: e -> f"],
+            ),
+            (
+                "  designated e;",
+                "  event f { pre: top; post: top; }\n  edge A: e -> f if zz;\n  designated e;",
+                ["7:21: unknown atom: zz"],
+            ),
+            (
+                "  designated e;",
+                "  event f { pre: top; post: top; }\n  edge A: e -> f if ;\n  designated e;",
+                ["7:8: expected a formula"],
+            ),
+            ("atoms { p }", "atoms { p; p }", ["3:12: duplicate atom: p"]),
+            (
+                "atoms { p }",
+                "objects { loc: H, P; }\natoms { p; At(loc); At(H) }",
+                ["4:21: duplicate atom: At(H)"],
+            ),
+            ("atoms { p }", "sorts { s }\natoms { p; Q(s) }", ["4:14: sort s has no objects"]),
+            (
+                "atoms { p }",
+                "atoms { p }\nschema Go(x: nowhere) { pre: top; effect: top; }",
+                ["4:14: unknown or empty sort: nowhere"],
+            ),
+            (
+                "atoms { p }",
+                "atoms { p }\nschema Go() { effects: p; }",
+                ["4:15: unknown schema entry 'effects'"],
+            ),
+        ],
+        ids=[
+            "token-after-goal",
+            "goal-ends-in-and",
+            "empty-goal",
+            "edge-without-arrow",
+            "unknown-task-entry",
+            "duplicate-edge",
+            "guard-unknown-atom",
+            "empty-guard",
+            "duplicate-atom",
+            "template-duplicates-atom",
+            "sort-without-objects",
+            "schema-unknown-sort",
+            "unknown-schema-entry",
+        ],
+    )
+    def test_exact_diagnostics(self, old, new, expected):
+        assert old in MINIMAL
+        with pytest.raises(TaskParseError) as exc:
+            parse_task(MINIMAL.replace(old, new))
+        assert [str(d) for d in exc.value.diagnostics] == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("", ["1:1: expected a formula"]), ("p q", ["1:3: unexpected 'q' after formula"])],
+    )
+    def test_standalone_formula(self, text, expected):
+        with pytest.raises(TaskParseError) as exc:
+            parse_formula(text, Vocabulary(["p", "q"], ["A"]))
+        assert [str(d) for d in exc.value.diagnostics] == expected
+
+    def test_contradictory_instance_is_dropped(self):
+        # Go(H,H) and Go(P,P) need At(H) & !At(H): they can never fire.
+        text = MINIMAL.replace(
+            "atoms { p }",
+            "objects { loc: H, P; }\natoms { p; At(loc) }\n"
+            "schema Go(f: loc, t: loc) { pre: At(f) & !At(t); effect: At(t) & !At(f); }",
+        ).replace("actions: skip;", "actions: skip, Go;")
+        actions = parse_task(text).task.actions
+        assert [a.name for a in actions] == ["skip", "Go(H,P)", "Go(P,H)"]
+
+
 class TestNestingLimit:
     """Formulas nested past ``MAX_FORMULA_NESTING`` levels end in one
     positioned diagnostic, not in the interpreter's recursion limit."""
