@@ -22,6 +22,11 @@ Valuation = frozenset
 Node = TypeVar("Node")
 
 
+def applied_name(head: str, args: Sequence[str]) -> str:
+    """``head`` applied to ``args`` as one name: ``Head(a,b)``, or ``head``."""
+    return f"{head}({','.join(args)})" if args else head
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SchemaAtom:
     """A predicate applied to parameters and/or constants, e.g. At(agt, from)."""
@@ -33,10 +38,7 @@ class SchemaAtom:
         object.__setattr__(self, "args", tuple(self.args))
 
     def ground_name(self, binding: Mapping[str, str]) -> str:
-        resolved = [binding.get(a, a) for a in self.args]
-        if not resolved:
-            return self.predicate
-        return f"{self.predicate}({','.join(resolved)})"
+        return applied_name(self.predicate, [binding.get(a, a) for a in self.args])
 
     def __repr__(self) -> str:
         return self.ground_name({})
@@ -164,7 +166,7 @@ def ground(
             domains.append(list(members))
         for combo in iproduct(*domains):
             binding = {var: obj for (var, _), obj in zip(schema.parameters, combo)}
-            name = f"{schema.name}({','.join(combo)})" if combo else schema.name
+            name = applied_name(schema.name, combo)
             try:
                 pre = _instantiate(schema.precondition, binding, vocab, normalize=False)
             except ConsistencyError:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator
 
 from .actions import EdgeGuard, EpistemicAction, Event, induced_action
-from .classical import ActionSchema, SchemaAtom, SchemaLiterals, ground
+from .classical import ActionSchema, SchemaAtom, SchemaLiterals, applied_name, ground
 from .errors import ConsistencyError, Diagnostic, ModelError, TaskParseError, VocabularyError
 from .logic import (
     TOP,
@@ -49,7 +49,8 @@ BLOCK_KEYWORDS = (
     "task",
 )
 RESERVED_HEADS = {"top", "bot", "K", "C"}
-DEFAULT_GROUND_CAP = 10_000
+# The most ground actions the schemas of one document may have.
+GROUND_CAP = 10_000
 # The name serialize_task gives the initial state.
 _INITIAL_NAME = "s0"
 # Formulas are parsed, evaluated and rendered recursively, one call per
@@ -193,6 +194,17 @@ def _find(diagnostics: list[Diagnostic], table: dict, name: Token, what: str):
     return value
 
 
+def _declare(diagnostics: list[Diagnostic], table: dict, name: Token, value, what: str) -> bool:
+    """Enter ``value`` as ``table[name.text]`` and return True; or, when the
+    name is already there, keep the first declaration and return False
+    after a ``duplicate <what>: <name>`` diagnostic at the name."""
+    if name.text in table:
+        diagnostics.append(Diagnostic(name.line, name.col, f"duplicate {what}: {name.text}"))
+        return False
+    table[name.text] = value
+    return True
+
+
 # --------------------------------------------------------------------------
 # Raw (unresolved) document pieces. Every positioned name is a `Token`.
 
@@ -210,7 +222,7 @@ class _RawEdge:
 class _RawGraph:
     """A ``state`` or ``action`` block. ``nodes`` lists (name, body) in
     document order: a world's body is its atom refs, an event's body its
-    (pre tokens, post tokens)."""
+    formula tokens by entry (``pre``, ``post``)."""
 
     name: Token
     nodes: list[tuple[Token, object]] = field(default_factory=list)
@@ -233,9 +245,9 @@ class _RawSchema:
 @dataclass
 class _RawTask:
     where: Token
-    initial: Token | None = None
-    actions: list[Token] = field(default_factory=list)
-    owner: Token | None = None
+    initial: Token | None
+    actions: list[Token]
+    owner: Token | None
 
 
 @dataclass
@@ -270,7 +282,7 @@ def _parse_ref(s: _Stream, what: str = "a name") -> Token:
     head, args = _parse_call(s, what)
     if not args:
         return head
-    return Token("ident", f"{head.text}({','.join(a.text for a in args)})", head.line, head.col)
+    return Token("ident", applied_name(head.text, [a.text for a in args]), head.line, head.col)
 
 
 def _parse_name_list(s: _Stream, what: str) -> list[Token]:
@@ -379,22 +391,22 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
         s.expect("}")
         doc.goals.append((tokens, tok))
     elif keyword == "task":
-        raw = _RawTask(s.peek())
-        s.expect("{")
+        where = s.expect("{")
+        actions: list[Token] = []
+        entries: dict[str, Token] = {}  # the singular entries
         while not s.at("}") and s.peek().kind != "eof":
             entry = s.expect_ident("a task entry")
             s.expect(":")
-            if entry.text == "initial":
-                raw.initial = _parse_ref(s, "a state name")
-            elif entry.text == "actions":
-                raw.actions.extend(_parse_name_list(s, "an action name"))
-            elif entry.text == "owner":
-                raw.owner = _parse_ref(s, "an agent name")
+            if entry.text == "actions":
+                actions.extend(_parse_name_list(s, "an action name"))
+            elif entry.text in ("initial", "owner"):
+                what = "a state name" if entry.text == "initial" else "an agent name"
+                _declare(s.diagnostics, entries, entry, _parse_ref(s, what), "task entry")
             else:
                 raise s.error(f"unknown task entry {entry.text!r}", entry)
             s.eat(";")
         s.expect("}")
-        doc.tasks.append(raw)
+        doc.tasks.append(_RawTask(where, entries.get("initial"), actions, entries.get("owner")))
 
 
 def _parse_schema(s: _Stream) -> _RawSchema:
@@ -467,21 +479,17 @@ def _world_body(s: _Stream) -> list[Token]:
     return [] if s.at("}") else _parse_name_list(s, "an atom")
 
 
-def _event_body(s: _Stream) -> tuple[list[Token], list[Token]]:
-    pre: list[Token] = []
-    post: list[Token] = []
+def _event_body(s: _Stream) -> dict[str, list[Token]]:
+    parts: dict[str, list[Token]] = {}
     while not s.at("}") and s.peek().kind != "eof":
         part = s.expect_ident("'pre' or 'post'")
         s.expect(":")
         tokens = _collect_formula_tokens(s, (";", "}"))
-        if part.text == "pre":
-            pre = tokens
-        elif part.text == "post":
-            post = tokens
-        else:
+        if part.text not in ("pre", "post"):
             raise s.error(f"unknown event entry {part.text!r}", part)
+        _declare(s.diagnostics, parts, part, tokens, "event entry")
         s.eat(";")
-    return pre, post
+    return parts
 
 
 # --------------------------------------------------------------------------
@@ -587,9 +595,7 @@ class ParsedDocument:
     source_map: dict[str, tuple[int, int]]
 
 
-def parse_task(
-    text: str | bytes, max_ground_actions: int = DEFAULT_GROUND_CAP
-) -> ParsedDocument:
+def parse_task(text: str | bytes) -> ParsedDocument:
     """Parse and resolve a task document; no partial tasks come back.
 
     Raises :class:`TaskParseError` with positioned diagnostics for lexical,
@@ -607,17 +613,16 @@ def parse_task(
     stream = _Stream(tokens, diagnostics)
     doc = _parse_raw(stream)
 
-    parsed = _Resolver(doc, diagnostics, max_ground_actions).resolve()
+    parsed = _Resolver(doc, diagnostics).resolve()
     if parsed is None:
         raise TaskParseError(diagnostics)
     return parsed
 
 
 class _Resolver:
-    def __init__(self, doc: _RawDocument, diagnostics: list[Diagnostic], ground_cap: int):
+    def __init__(self, doc: _RawDocument, diagnostics: list[Diagnostic]):
         self.doc = doc
         self.diagnostics = diagnostics
-        self.ground_cap = ground_cap
         self.source_map: dict[str, tuple[int, int]] = {}
 
     def note(self, where: Token, message: str) -> None:
@@ -679,44 +684,29 @@ class _Resolver:
 
     def _build_vocab(self) -> Vocabulary | None:
         doc = self.doc
-        agent_names: list[str] = []
+        agents: dict[str, None] = {}
         for name in doc.agents:
-            if name.text in agent_names:
-                self.note(name, f"duplicate agent: {name.text}")
-            else:
-                agent_names.append(name.text)
+            if _declare(self.diagnostics, agents, name, None, "agent"):
                 self.record("agent", name)
 
-        sort_members: dict[str, list[str]] = {}
+        sort_members: dict[str, dict[str, None]] = {}
         for sort, members in doc.objects:
-            bucket = sort_members.setdefault(sort.text, [])
+            bucket = sort_members.setdefault(sort.text, {})
             for member in members:
-                if member.text in bucket:
-                    self.note(member, f"duplicate object {member.text} in sort {sort.text}")
-                else:
-                    bucket.append(member.text)
+                if _declare(self.diagnostics, bucket, member, None, "object"):
                     self.record("object", member)
         self.sorts = {name: tuple(vals) for name, vals in sort_members.items()}
         for sort in doc.sorts:
             self.sorts.setdefault(sort.text, ())
 
-        atom_names: list[str] = []
-        seen: set[str] = set()
-
-        def declare(name: str, where: Token) -> None:
-            if name in seen:
-                self.note(where, f"duplicate atom: {name}")
-                return
-            seen.add(name)
-            atom_names.append(name)
-
+        atoms: dict[str, None] = {}
         for head, args in doc.atom_decls:
             if head.text in RESERVED_HEADS:
                 self.note(head, f"{head.text!r} is reserved and cannot name an atom")
                 continue
             self.record("atom", head)
             if not args:
-                declare(head.text, head)
+                _declare(self.diagnostics, atoms, head, None, "atom")
                 continue
             domains: list[tuple[str, ...]] = []
             for arg in args:
@@ -727,11 +717,12 @@ class _Resolver:
                     self.note(arg, f"sort {arg.text} has no objects")
                 domains.append(self.sorts[arg.text])
             for combo in product(*domains):
-                declare(f"{head.text}({','.join(combo)})", head)
+                name = Token("ident", applied_name(head.text, combo), head.line, head.col)
+                _declare(self.diagnostics, atoms, name, None, "atom")
 
         if self.diagnostics:
             return None
-        return Vocabulary(atom_names, agent_names)
+        return Vocabulary(list(atoms), list(agents))
 
     # -- phase 2: schemas ---------------------------------------------------
 
@@ -740,24 +731,24 @@ class _Resolver:
         total = 0
         for raw in self.doc.schemas:
             self.record("schema", raw.name)
+            # Declared before grounding, so a later schema of the same name
+            # is a duplicate even when this one fails.
+            if not _declare(self.diagnostics, groups, raw.name, [], "schema"):
+                continue
             params = []
             count = 1
-            bad = False
             for var, sort in raw.parameters:
                 if sort.text not in self.sorts or not self.sorts[sort.text]:
                     self.note(sort, f"unknown or empty sort: {sort.text}")
-                    bad = True
                     continue
                 params.append((var, sort.text))
                 count *= len(self.sorts[sort.text])
-            if bad:
+            if len(params) < len(raw.parameters):
                 continue
             total += count
-            if total > self.ground_cap:
+            if total > GROUND_CAP:
                 self.note(
-                    raw.name,
-                    f"grounding exceeds the cap of {self.ground_cap} actions;"
-                    " split the task or raise the cap",
+                    raw.name, f"grounding exceeds the cap of {GROUND_CAP} actions; split the task"
                 )
                 return groups
             try:
@@ -790,30 +781,26 @@ class _Resolver:
         """The ``action`` or ``state`` blocks (``kind``) by name. Per block:
         its nodes, each read by :meth:`_event` or :meth:`_world` and indexed
         even when its body fails; then its edges; then its designated set;
-        then the action or state itself."""
+        then the action or state itself. A block that fails stays declared,
+        as None, after its diagnostic."""
         is_action = kind == "action"
         node_kind, read = ("event", self._event) if is_action else ("world", self._world)
         out: dict = {}
-        seen: set[str] = set()  # every block name so far, built or not
         for raw in self.doc.actions if is_action else self.doc.states:
             self.record(kind, raw.name)
-            if raw.name.text in seen:
-                self.note(raw.name, f"duplicate {kind}: {raw.name.text}")
+            if not _declare(self.diagnostics, out, raw.name, None, kind):
                 continue
-            seen.add(raw.name.text)
             values: list = []
             index: dict[str, int] = {}  # node names in document order
             ok = True
             for name, body in raw.nodes:
                 self.record(f"{node_kind} {raw.name.text}", name)
-                if name.text in index:
-                    self.note(name, f"duplicate {node_kind}: {name.text}")
+                if not _declare(self.diagnostics, index, name, len(values), node_kind):
                     ok = False
                     continue
                 value = read(name, body)
                 if value is None:
                     ok = False
-                index[name.text] = len(values)
                 values.append(value)
             edges: list[EdgeGuard] = []
             for redge in raw.edges:
@@ -843,10 +830,11 @@ class _Resolver:
                 self.note(raw.name, str(exc))
         return out
 
-    def _event(self, name: Token, body: tuple[list[Token], list[Token]]) -> Event | None:
-        pre_tokens, post_tokens = body
-        pre = self._formula(pre_tokens, name) if pre_tokens else TOP
-        post = self._formula(post_tokens, name) if post_tokens else TOP
+    def _event(self, name: Token, body: dict[str, list[Token]]) -> Event | None:
+        """An absent entry is ``top``; an empty one is a diagnostic."""
+        pre_tokens, post_tokens = body.get("pre"), body.get("post")
+        pre = TOP if pre_tokens is None else self._formula(pre_tokens, name)
+        post = TOP if post_tokens is None else self._formula(post_tokens, name)
         if pre is None or post is None:
             return None
         try:

@@ -31,6 +31,7 @@ from eplan import (
     make_ask,
     parse_task,
     product_update,
+    render_formula,
     serialize_task,
 )
 from eplan.cli import _state_payload
@@ -146,21 +147,22 @@ class TestParse:
             parse_task(bad)
 
     def test_grounding_cap(self):
+        # 22 ** 3 = 10,648 instances; the cap is checked before any is built.
         text = """
 agents { A }
 sorts { thing }
-objects { thing: a, b, c, d, e, f, g, h, i, j; }
-atoms { P(thing, thing) }
-schema Link(x: thing, y: thing) {
+objects { thing: a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t, u, v; }
+atoms { P }
+schema Link(x: thing, y: thing, z: thing) {
   pre: top;
-  effect: P(x, y);
+  effect: P;
 }
 state s0 { world w { } designated w; }
 goal { top }
 task { initial: s0; actions: Link; }
 """
         with pytest.raises(TaskParseError) as exc:
-            parse_task(text, max_ground_actions=50)
+            parse_task(text)
         assert any("cap" in str(d) for d in exc.value.diagnostics)
 
     def test_repeated_schema_parameter_is_a_diagnostic(self):
@@ -300,6 +302,10 @@ class TestBlockDiagnostics:
                 "task { initial: s0; actions: skip;",
                 ["13:35: expected '}', found ''"],
             ),
+            ("pre: top;", "pre: top; pre: !p;", ["5:23: duplicate event entry: pre"]),
+            ("post: top;", "post: top; post: p;", ["5:34: duplicate event entry: post"]),
+            ("pre: top;", "pre: ;", ["5:9: expected a formula"]),
+            ("post: top;", "post: ;", ["5:9: expected a formula"]),
         ],
         ids=[
             "unknown-state-entry",
@@ -317,6 +323,10 @@ class TestBlockDiagnostics:
             "empty-state-designated",
             "empty-action-designated",
             "eof-in-block",
+            "duplicate-pre",
+            "duplicate-post",
+            "empty-pre",
+            "empty-post",
         ],
     )
     def test_exact_diagnostics(self, old, new, expected):
@@ -328,8 +338,8 @@ class TestBlockDiagnostics:
 
 class TestNameDiagnostics:
     """The exact diagnostics of names that do not resolve (agents, atoms,
-    worlds, actions, states) and of the task block, one edit of
-    ``MINIMAL`` each: message, position and order."""
+    worlds, actions, states), of names declared twice and of the task
+    block, one edit of ``MINIMAL`` each: message, position and order."""
 
     @pytest.mark.parametrize(
         "old, new, expected",
@@ -356,6 +366,27 @@ class TestNameDiagnostics:
                 "task { initial: s0; actions: skip; owner: A; }",
                 ["15:6: initial state is not local for owner A"],
             ),
+            (
+                "atoms { p }",
+                "atoms { p }\nschema Go() { pre: top; effect: p; }\n"
+                "schema Go() { pre: p; effect: top; }",
+                ["5:8: duplicate schema: Go"],
+            ),
+            (
+                "initial: s0;",
+                "initial: s0; initial: s0;",
+                ["13:21: duplicate task entry: initial"],
+            ),
+            (
+                "actions: skip; }",
+                "actions: skip; owner: A; owner: A; }",
+                ["13:46: duplicate task entry: owner"],
+            ),
+            (
+                "atoms { p }",
+                "objects { loc: H, P, H; }\natoms { p }",
+                ["3:22: duplicate object: H"],
+            ),
         ],
         ids=[
             "unknown-owner",
@@ -371,6 +402,10 @@ class TestNameDiagnostics:
             "world-two-unknown-atoms",
             "duplicate-agent",
             "initial-not-local",
+            "duplicate-schema",
+            "duplicate-initial",
+            "duplicate-owner",
+            "duplicate-object",
         ],
     )
     def test_exact_diagnostics(self, old, new, expected):
@@ -400,6 +435,22 @@ class TestNameDiagnostics:
             ("Flip(a)", ["own"]),
             ("Hop", ["h"]),
         ]
+
+    def test_list_entries_extend(self):
+        # A task's `actions:`, a block's `designated` and a schema's `pre:`
+        # and `effect:` may each be given more than once.
+        text = MINIMAL.replace(
+            "atoms { p }",
+            "atoms { p, q }\nschema Go() { pre: p; pre: !q; effect: q; effect: !p; }",
+        ).replace("world w { p }", "world w { p }\n  world v { }").replace(
+            "designated w;", "designated w;\n  designated v;"
+        ).replace("actions: skip;", "actions: skip; actions: Go;")
+        task = parse_task(text).task
+        assert task.initial.designated == {0, 1}
+        assert [a.name for a in task.actions] == ["skip", "Go"]
+        (event,) = task.actions[1].events
+        assert render_formula(event.pre) == "p & !q"
+        assert render_formula(event.post.to_formula()) == "q & !p"
 
 
 class TestFrontEndDiagnostics:
