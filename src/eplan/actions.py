@@ -24,6 +24,7 @@ from .logic import (
     TOP,
     Agent,
     And,
+    Common,
     Formula,
     Knows,
     LiteralConjunction,
@@ -31,6 +32,8 @@ from .logic import (
     Top,
     Vocabulary,
     _eval,
+    _nodes,
+    is_propositional,
     render_formula,
     validate_over,
 )
@@ -72,12 +75,18 @@ class EpistemicAction:
     source event, with top guards stored as None. ``_must`` holds the atoms
     that every designated event's compiled precondition requires (empty when
     one is not compiled): a designated world lacking one of them satisfies no
-    designated event. ``_outcomes`` memoizes :func:`_outcome` per label, a
-    cache that only gains entries, when every precondition is compiled."""
+    designated event. ``_outcomes`` memoizes :func:`_outcome`, a cache that
+    only gains entries, when every precondition that is not compiled is
+    one-level: a Boolean combination of literals and ``K[a] psi`` with
+    ``psi`` propositional. Its key is a world's label and, per agent of
+    ``_modal`` (the indices of the agents such a ``K`` names, ascending),
+    the frozenset of the labels of the world's successors. A precondition
+    with ``C`` or a nested ``K`` leaves ``_outcomes`` None and ``_modal``
+    empty, and every world is evaluated."""
 
     __slots__ = (
         "name", "vocab", "events", "designated", "edges", "_pre", "_out", "_must",
-        "_outcomes",
+        "_outcomes", "_modal",
     )
 
     def __init__(
@@ -135,7 +144,15 @@ class EpistemicAction:
         object.__setattr__(self, "edges", tuple(kept))
         object.__setattr__(self, "_pre", tuple(pres))
         object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_outcomes", None if None in pres else {})
+        modal = [
+            node for event, pre in zip(events, pres) if pre is None
+            for node in _nodes(event.pre) if isinstance(node, (Knows, Common))
+        ]
+        one_level = all(isinstance(node, Knows) and is_propositional(node.sub) for node in modal)
+        object.__setattr__(self, "_outcomes", {} if one_level else None)
+        object.__setattr__(
+            self, "_modal", tuple(sorted({node.agent.index for node in modal})) if one_level else ()
+        )
         designated_pres = [pres[e] for e in des]
         object.__setattr__(
             self,
@@ -258,11 +275,17 @@ def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int 
 def _outcome(action: EpistemicAction, model: EpistemicModel, w: int) -> tuple:
     """The events whose precondition holds at world ``w`` (unchecked: the
     action validated them), in event order, and their post-labels, as two
-    tuples; memoized per label in ``action._outcomes`` when every
-    precondition is compiled."""
-    label = model.labels[w]
+    tuples. Memoized in ``action._outcomes`` when every precondition that
+    is not compiled is one-level, keyed by w's label or, when
+    ``action._modal`` names agents, by w's label and, per such agent, the
+    frozenset of the labels of w's successors: all that a one-level
+    precondition can read at w."""
+    label = key = model.labels[w]
+    if action._modal:
+        labels = model.labels
+        key = (label, *[frozenset([labels[v] for v in model._rows[a][w]]) for a in action._modal])
     table = action._outcomes
-    out = None if table is None else table.get(label)
+    out = None if table is None else table.get(key)
     if out is None:
         events = tuple(
             e for e, (event, pre) in enumerate(zip(action.events, action._pre))
@@ -270,22 +293,21 @@ def _outcome(action: EpistemicAction, model: EpistemicModel, w: int) -> tuple:
         )
         out = events, tuple(action.events[e].post.apply_to(label) for e in events)
         if table is not None:
-            table[label] = out
+            table[key] = out
     return out
 
 
 def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]:
     """The product update's successor shape (its labels, designated set and
-    per-agent edge sets, which fix its contraction up to world names, its
-    key and its owner classes) and its (world, event) pairs, in order.
+    per-agent successor rows, which fix its contraction up to world names,
+    its key and its owner classes) and its (world, event) pairs, in order.
 
     Designated worlds are paired first, in index order, so an inapplicable
     action raises before any other world is. When every world takes one
     event and the action has no explicit event edges, product world i is
-    world i and an edge survives when both ends took the same event."""
+    world i, and w's row keeps the successors that took w's event."""
     _check_shared_vocab(state, action)
     model = state.model
-    agents = model.vocab.agents
     outcomes: list = [None] * model.n
     for w in sorted(state.designated):
         outcomes[w] = _outcome(action, model, w)
@@ -302,14 +324,14 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
 
     taken = [events[0] if len(events) == 1 else None for events, _ in outcomes]
     if not action.edges and None not in taken:
-        same = taken.count(taken[0]) == len(taken)  # keep every edge set as it is
-        edges = tuple([
-            model.edges[agent] if same
-            else frozenset([(u, v) for (u, v) in model.edges[agent] if taken[u] == taken[v]])
-            for agent in agents
-        ])
         labels = tuple([post[0] for _, post in outcomes])
-        return (labels, state.designated, edges), tuple(enumerate(taken))
+        rows = model._rows  # kept as they are when every world took one event
+        if taken.count(taken[0]) < len(taken):
+            rows = tuple(
+                tuple([tuple([v for v in row if taken[v] == e]) for e, row in zip(taken, table)])
+                for table in rows
+            )
+        return (labels, state.designated, rows), tuple(enumerate(taken))
 
     # Pairs are numbered world-major; slot[e][w] is the product index of
     # (w, e), or None when e's precondition fails at w.
@@ -319,40 +341,39 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
     for i, (w, e) in enumerate(pairs):
         slot[e][w] = i
 
-    # Per event pair: e -> e links the pairs of each explicit world edge; a
-    # guarded e -> t links each pair whose guard holds to its successors'.
-    edges = []
-    for agent in agents:
-        out = action._out[agent.index]
-        linked: set[tuple[int, int]] = set()
-        for e, source in enumerate(slot):
-            for (u, v) in model.edges[agent]:
-                if source[u] is not None and source[v] is not None:
-                    linked.add((source[u], source[v]))
-            for t, guard in out[e]:
-                target = slot[t]
-                for w, i in enumerate(source):
-                    if i is None or (guard is not None and not _eval(model, w, guard)):
-                        continue
-                    for v in model.successors(agent, w):
-                        if target[v] is not None:
-                            linked.add((i, target[v]))
-        edges.append(frozenset(linked))
+    # Pair (w, e)'s row runs along w's row: each successor v paired with e
+    # and with each t of a guarded e -> t whose guard holds at w, in event
+    # order. World-major numbering keeps the row sorted.
+    rows = []
+    for out, table in zip(action._out, model._rows):
+        top = [  # e's columns when no guard from e depends on the world
+            None if any(guard is not None for _, guard in out[e])
+            else [slot[t] for t in sorted([e, *(t for t, _ in out[e])])]
+            for e in range(len(slot))
+        ]
+        agent_rows = []
+        for w, e in pairs:
+            columns = top[e] or [slot[t] for t in sorted(
+                [e, *(t for t, guard in out[e] if guard is None or _eval(model, w, guard))]
+            )]
+            agent_rows.append(tuple([
+                i for v in table[w] for column in columns if (i := column[v]) is not None
+            ]))
+        rows.append(tuple(agent_rows))
 
     designated = frozenset(
         slot[e][w] for w in state.designated for e in action.designated if slot[e][w] is not None
     )
-    return (labels, designated, tuple(edges)), pairs
+    return (labels, designated, tuple(rows)), pairs
 
 
 def _materialize(state: EpistemicState, action: EpistemicAction, shape, pairs) -> EpistemicState:
     """The successor that :func:`_pair` describes, its model built
     unchecked; world (w,e) is named ``(<w's name>,<e's name>)``."""
     model = state.model
-    labels, designated, edges = shape
+    labels, designated, rows = shape
     names = tuple(f"({model.world_names[w]},{action.events[e].name})" for w, e in pairs)
-    edges = dict(zip(model.vocab.agents, edges))
-    return EpistemicState(EpistemicModel._trusted(model.vocab, names, labels, edges), designated)
+    return EpistemicState(EpistemicModel._trusted(model.vocab, names, labels, rows), designated)
 
 
 def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:

@@ -953,18 +953,18 @@ def _edges(
     (agent, u, v, two_way, guard). Per agent in vocabulary order: first the
     pairs present both ways with equal guards (as u < v), then the remaining
     directed pairs, each group in (u, v) order. State edges carry the top
-    guard and are read along the model's sorted successor rows."""
+    guard and are read along the model's sorted successor rows; a pair is
+    two-way when u is in v's row (always so for v == u, which is skipped)."""
     if isinstance(value, EpistemicState):
         model = value.model
-        for agent in model.vocab.agents:
-            edges = model.edges[agent]
+        for agent, rows in zip(model.vocab.agents, model._rows):
             one_way = []
-            for u in range(model.n):
-                for v in model.successors(agent, u):
-                    if (v, u) in edges:
+            for u, row in enumerate(rows):
+                for v in row:
+                    if u in rows[v]:
                         if u < v:
                             yield agent, u, v, True, TOP
-                    elif v != u:
+                    else:
                         one_way.append((agent, u, v, False, TOP))
             yield from one_way
         return
@@ -1033,16 +1033,15 @@ def render_state(state: EpistemicState) -> str:
     for w in range(model.n):
         mark = " [designated]" if w in state.designated else ""
         lines.append(f"world {names[w]}{mark}: {_label(model, w)}")
-    for agent in model.vocab.agents:
-        edges = model.edges[agent]
+    for agent, rows in zip(model.vocab.agents, model._rows):
         prefix = f"edge {agent.name}: "
         one_way = []
-        for u in range(model.n):
-            for v in model.successors(agent, u):
-                if (v, u) in edges:
+        for u, row in enumerate(rows):
+            for v in row:
+                if u in rows[v]:
                     if u < v:
                         lines.append(f"{prefix}{names[u]} -- {names[v]}")
-                elif v != u:
+                else:
                     one_way.append(f"{prefix}{names[u]} -> {names[v]}")
         lines += one_way
     return "\n".join(lines)

@@ -1,11 +1,12 @@
 """Epistemic models and states: perspective shifts, belief-state embedding,
 bisimulation contraction, and canonical hashing keys for search nodes.
 
-Relations are stored as explicit per-agent directed edge sets; reflexive
-loops are implicit and always present, so drawn figures and documents never
-need to declare them. Symmetry/transitivity are not enforced structurally,
-so models with false beliefs (private actions) are representable; an
-optional checker can assert S5 properties.
+Relations are stored as per-agent successor rows: row w lists w and its
+successors in ascending order. Reflexive loops are always present, so drawn
+figures and documents never need to declare them; the explicit edge sets
+are derived from the rows on first use. Symmetry/transitivity are not
+enforced structurally, so models with false beliefs (private actions) are
+representable; an optional checker can assert S5 properties.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ class EpistemicModel:
     """A finite multi-agent Kripke model with a valuation per world.
 
     Not a dataclass: ``_trusted`` bypasses ``__init__``; caches fill lazily.
-    Immutable after construction. Each agent's successor table is built in
-    one pass over its edges on the agent's first query, and
-    union-reachability is cached per world; both caches only ever gain
-    entries that are functions of the model, so sharing is safe. A model
-    that :func:`bisim_contract` builds or returns is marked minimal (no two
-    of its worlds are bisimilar), so contracting a state over it again is a
-    restriction to the designated-reachable worlds, with no refinement.
+    Immutable after construction. The stored relation is ``_rows``: per
+    agent in vocabulary order, one sorted successor row per world, the world
+    itself included. ``edges`` (per agent, the non-reflexive pairs) is
+    derived from the rows on first use, and union-reachability is cached per
+    world; both caches are functions of the model, so sharing is safe. A
+    model that :func:`bisim_contract` builds or returns is marked minimal
+    (no two of its worlds are bisimilar), so contracting a state over it
+    again is a restriction to the designated-reachable worlds, with no
+    refinement.
     """
 
-    __slots__ = ("vocab", "world_names", "labels", "edges", "_succ", "_reach", "_minimal")
+    __slots__ = ("vocab", "world_names", "labels", "_rows", "_edges", "_reach", "_minimal")
 
     def __init__(
         self,
@@ -52,37 +55,37 @@ class EpistemicModel:
             if not fl <= atom_set:
                 foreign = next(atom for atom in fl if atom not in atom_set)
                 raise VocabularyError(f"label atom {foreign.name} not in vocabulary")
-        edge_map: dict[Agent, frozenset[Edge]] = {}
+        rows = []
         edges = edges or {}
         for agent in vocab.agents:
-            pairs = set()
+            succ = [{u} for u in range(n)]  # reflexive loops are implicit
             for (u, v) in edges.get(agent, ()):
                 if not (0 <= u < n and 0 <= v < n):
                     raise ModelError(f"edge endpoint out of range: ({u},{v})")
-                if u != v:  # reflexive loops are implicit
-                    pairs.add((u, v))
-            edge_map[agent] = frozenset(pairs)
+                succ[u].add(v)
+            rows.append(tuple(tuple(sorted(vs)) for vs in succ))
         for agent in edges:
             if agent not in vocab.agents:
                 raise VocabularyError(f"agent {agent.name} not in vocabulary")
 
-        self._fill(vocab, tuple(world_names), tuple(frozen_labels), edge_map)
+        self._fill(vocab, tuple(world_names), tuple(frozen_labels), tuple(rows))
 
     @classmethod
-    def _trusted(cls, vocab, world_names, labels, edges) -> "EpistemicModel":
+    def _trusted(cls, vocab, world_names, labels, rows) -> "EpistemicModel":
         """A model the library built itself, unchecked: a tuple of names, a
         tuple of frozen labels over ``vocab`` and, per agent of ``vocab`` in
-        order, a frozenset of in-range, non-reflexive edges."""
+        order, a tuple of rows, row w being a sorted tuple of in-range
+        worlds that contains w."""
         model = object.__new__(cls)
-        model._fill(vocab, world_names, labels, edges)
+        model._fill(vocab, world_names, labels, rows)
         return model
 
-    def _fill(self, vocab, world_names, labels, edges) -> None:
+    def _fill(self, vocab, world_names, labels, rows) -> None:
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "world_names", world_names)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_succ", {})
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_reach", {})
         object.__setattr__(self, "_minimal", False)
 
@@ -93,6 +96,17 @@ class EpistemicModel:
     def n(self) -> int:
         return len(self.world_names)
 
+    @property
+    def edges(self) -> dict[Agent, frozenset[Edge]]:
+        """Per agent, its explicit (non-reflexive) edges, derived from the
+        successor rows on first use."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", {
+                agent: frozenset([(u, v) for u, row in enumerate(rows) for v in row if v != u])
+                for agent, rows in zip(self.vocab.agents, self._rows)
+            })
+        return self._edges
+
     def world_index(self, name: str) -> int:
         try:
             return self.world_names.index(name)
@@ -101,22 +115,12 @@ class EpistemicModel:
 
     def successors(self, agent: Agent, w: int) -> tuple[int, ...]:
         """Sorted i-successors of ``w``, including ``w`` itself."""
-        return self._successor_table(agent)[w]
-
-    def _successor_table(self, agent: Agent) -> tuple[tuple[int, ...], ...]:
-        table = self._succ.get(agent.index)
-        if table is None:
-            out = [[u] for u in range(self.n)]
-            for (u, v) in self.edges[agent]:
-                out[u].append(v)
-            table = tuple(tuple(sorted(vs)) for vs in out)
-            self._succ[agent.index] = table
-        return table
+        return self._rows[agent.index][w]
 
     def closure(self, starts: Iterable[int], agents: Sequence[Agent]) -> set[int]:
         """Worlds reachable from ``starts`` (included) under the union of
         the given agents' relations: one multi-source search."""
-        tables = [self._successor_table(agent) for agent in agents]
+        tables = [self._rows[agent.index] for agent in agents]
         seen = set(starts)
         frontier = list(seen)
         while frontier:
@@ -156,7 +160,7 @@ class EpistemicModel:
             self.vocab == other.vocab
             and self.world_names == other.world_names
             and self.labels == other.labels
-            and self.edges == other.edges
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:
@@ -290,7 +294,7 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         return state
     model = state.model
     reach = sorted(model.reachable_from(state.designated))
-    tables = [model._successor_table(agent) for agent in model.vocab.agents]
+    tables = model._rows
     block = range(model.n) if model._minimal else model.labels
     count = len({block[w] for w in reach})
     while count < len(reach):
@@ -309,18 +313,21 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     members: dict[object, list[int]] = {}
     for w in reach:
         members.setdefault(block[w], []).append(w)
-    ordered_blocks = list(members.values())
-    block_of = {w: i for i, ws in enumerate(ordered_blocks) for w in ws}
+    block_of = [0] * model.n
+    for i, ws in enumerate(members.values()):
+        for w in ws:
+            block_of[w] = i
+    firsts = [ws[0] for ws in members.values()]
 
-    names = tuple(model.world_names[ws[0]] for ws in ordered_blocks)
-    edges = {
-        agent: frozenset((block_of[u], block_of[v]) for (u, v) in model.edges[agent]
-                         if u in block_of and block_of[u] != block_of[v])
-        for agent in model.vocab.agents
-    }
+    # The partition is stable, so one world per block gives its block's row.
+    names = tuple(model.world_names[w] for w in firsts)
+    rows = tuple(
+        tuple(tuple(sorted({block_of[v] for v in table[w]})) for w in firsts)
+        for table in tables
+    )
     designated = {block_of[w] for w in state.designated}
     contracted = EpistemicModel._trusted(
-        model.vocab, names, tuple(model.labels[ws[0]] for ws in ordered_blocks), edges
+        model.vocab, names, tuple(model.labels[w] for w in firsts), rows
     )
     object.__setattr__(contracted, "_minimal", True)
     out = EpistemicState(contracted, designated)
@@ -370,8 +377,10 @@ def canonical_key(state: EpistemicState) -> bytes:
         n,
         tuple((label_keys[w], w in c.designated) for w in order),
         tuple(
-            tuple(sorted((position[u], position[v]) for (u, v) in model.edges[agent]))
-            for agent in agents
+            tuple(sorted([
+                (position[u], position[v]) for u, row in enumerate(rows) for v in row if v != u
+            ]))
+            for rows in model._rows
         ),
     )
     return repr(payload).encode("ascii")

@@ -11,6 +11,8 @@ from conftest import (
     TASK_FILES,
     gen_action,
     gen_equivalence_state,
+    gen_formula,
+    gen_litconj,
     gen_state,
     gen_task,
     gen_vocab,
@@ -18,6 +20,7 @@ from conftest import (
 )
 from eplan import (
     And,
+    Common,
     EdgeGuard,
     EpistemicAction,
     EplanError,
@@ -28,6 +31,7 @@ from eplan import (
     ModelError,
     Not,
     NotApplicableError,
+    Or,
     Prop,
     TOP,
     Vocabulary,
@@ -47,6 +51,7 @@ from eplan import (
     skip_action,
 )
 from eplan.actions import _materialize, applicable_updates, inapplicable_witness
+from eplan.logic import _eval, _nodes, is_propositional
 from reference_update import applicable_actions, bisimilar
 
 
@@ -81,16 +86,22 @@ class TestApplicable:
         # The designated worlds' preconditions are evaluated first, in index
         # order, so an inapplicable action stops at its witness after two
         # evaluations (both events at world 1), where pairing every world
-        # with every event first took eight.
+        # with every event first took eight. An action memoizes outcomes by
+        # label and a-neighbourhood, so reused it skips world 1 the second
+        # time; a fresh action evaluates every world.
         vocab = Vocabulary(["p", "q"], ["a"])
         p, q, a = vocab.atom("p"), vocab.atom("q"), vocab.agent("a")
         model = _model(vocab, [{p}, set(), {p}, {p, q}], {a: [(0, 1), (1, 0), (2, 3), (3, 2)]})
         bare = LiteralConjunction()
-        action = EpistemicAction(
-            "modal", vocab,
-            [Event("yes", Knows(a, Prop(p)), bare), Event("no", Knows(a, Not(Prop(p))), bare)],
-            {0, 1},
-        )
+
+        def fresh():
+            return EpistemicAction(
+                "modal", vocab,
+                [Event("yes", Knows(a, Prop(p)), bare), Event("no", Knows(a, Not(Prop(p))), bare)],
+                {0, 1},
+            )
+
+        action = fresh()
         evaluated = []
         original = actions_module._eval
 
@@ -103,8 +114,11 @@ class TestApplicable:
             product_update(EpistemicState(model, {1, 2}), action)
         assert exc.value.witness == 1 and evaluated == [1, 1]
         evaluated.clear()
-        assert product_update(EpistemicState(model, {2, 3}), action).model.n == 2
+        assert product_update(EpistemicState(model, {2, 3}), fresh()).model.n == 2
         assert evaluated == [2, 2, 3, 3, 0, 0, 1, 1]
+        evaluated.clear()
+        assert product_update(EpistemicState(model, {2, 3}), action).model.n == 2
+        assert evaluated == [2, 2, 3, 3, 0, 0]
 
     @pytest.mark.parametrize("pre", ["p", "q"])
     @pytest.mark.parametrize(
@@ -614,6 +628,99 @@ class TestReferenceOracle:
                 reference.bisim_contract(same).model.world_names
             )
             assert canonical_key(sub) == reference.canonical_key(same)
+
+
+    def test_private_ask_chain_matches_reference(self, ask_private):
+        # One to eight private asks: the eighth builds 512 worlds and 13,122
+        # Employee2 edges, the largest state a bundled task reaches.
+        ask = ask_private.action_named("AskWhetherPO1")
+        state = ask_private.initial
+        for _ in range(8):
+            updated, expected = product_update(state, ask), reference.product_update(state, ask)
+            assert updated == expected
+            assert updated.model.world_names == expected.model.world_names
+            contracted, oracle = bisim_contract(updated), reference.bisim_contract(expected)
+            assert contracted == oracle
+            assert contracted.model.world_names == oracle.model.world_names
+            assert canonical_key(updated) == reference.canonical_key(expected)
+            state = updated
+        employee2 = ask_private.vocab.agent("Employee2")
+        assert state.model.n == 512 and len(state.model.edges[employee2]) == 13122
+
+
+def _direct_outcome(action, model, w):
+    """The events of ``action`` whose precondition holds at ``w``, each
+    evaluated at ``w``, and their post-labels: ``_outcome`` without a memo."""
+    label = model.labels[w]
+    events = tuple(e for e, event in enumerate(action.events) if _eval(model, w, event.pre))
+    return events, tuple(action.events[e].post.apply_to(label) for e in events)
+
+
+def _one_level(phi):
+    """True when ``phi`` is a Boolean combination of literals and ``K[a] psi``
+    with ``psi`` propositional."""
+    if isinstance(phi, Knows):
+        return is_propositional(phi.sub)
+    if isinstance(phi, Common):
+        return False
+    if isinstance(phi, Not):
+        return _one_level(phi.sub)
+    if isinstance(phi, (And, Or)):
+        return _one_level(phi.left) and _one_level(phi.right)
+    return True
+
+
+class TestOutcomeMemo:
+    """``_outcome`` memoized by label and per-agent successor labels gives
+    what evaluating every precondition at the world gives, across models
+    that share an action; a precondition with ``C`` or a nested ``K``
+    keeps the per-world path."""
+
+    def gen_pre(self, rng, vocab):
+        a, b = rng.choice(vocab.agents), rng.choice(vocab.agents)
+        p, q = Prop(rng.choice(vocab.atoms)), Prop(rng.choice(vocab.atoms))
+        return rng.choice([
+            lambda: gen_litconj(rng, vocab).to_formula(),
+            lambda: gen_formula(rng, vocab, 2),
+            lambda: Knows(a, Or(p, Not(q))),
+            lambda: Or(Not(Knows(a, p)), And(q, Knows(b, Not(p)))),
+            lambda: Knows(a, Knows(b, p)),
+            lambda: And(p, Common(Or(p, q))),
+        ])()
+
+    def test_memoized_outcomes_equal_direct_evaluation(self):
+        rng = random.Random(131)
+        seen = {"pairs": 0, "hits": 0, "k_of_or": 0, "no_edges": 0, "per_world": 0}
+        while seen["pairs"] < 1200:
+            vocab = gen_vocab(rng, max_atoms=3, max_agents=3)
+            events = [
+                Event(f"e{i}", self.gen_pre(rng, vocab), gen_litconj(rng, vocab))
+                for i in range(rng.randint(1, 3))
+            ]
+            action = EpistemicAction("memo", vocab, events, {0})
+            memoized = all(_one_level(event.pre) for event in events)
+            assert (action._outcomes is not None) == memoized
+            k_of_or = memoized and any(
+                isinstance(node, Knows) and isinstance(node.sub, Or)
+                for event in events for node in _nodes(event.pre)
+            )
+            for _ in range(6):
+                seen["per_world"] += not memoized
+                seen["k_of_or"] += k_of_or
+                model = gen_state(rng, vocab, max_worlds=4).model
+                if rng.random() < 0.3:  # an agent with no edges
+                    bare = rng.choice(vocab.agents)
+                    model = _model(vocab, model.labels, {
+                        agent: edges for agent, edges in model.edges.items() if agent != bare
+                    })
+                seen["no_edges"] += any(not edges for edges in model.edges.values())
+                for w in range(model.n):
+                    before = None if action._outcomes is None else len(action._outcomes)
+                    got = actions_module._outcome(action, model, w)
+                    assert got == _direct_outcome(action, model, w)
+                    seen["hits"] += before is not None and before == len(action._outcomes)
+                seen["pairs"] += 1
+        assert min(seen.values()) > 100, seen
 
 
 def _filtered(state, actions):

@@ -897,9 +897,13 @@ def search_successors(task, depth):
 
 def state_shape(state):
     """A state up to world names: its labels, designated set and per-agent
-    edges, which is what the pairing reports as the successor's shape."""
+    successor rows, which is what the pairing reports as the successor's
+    shape."""
     model = state.model
-    return model.labels, state.designated, tuple(model.edges[a] for a in model.vocab.agents)
+    rows = tuple(
+        tuple(model.successors(a, w) for w in range(model.n)) for a in model.vocab.agents
+    )
+    return model.labels, state.designated, rows
 
 
 class TestShapeOracle:
@@ -909,7 +913,7 @@ class TestShapeOracle:
     (``actions._materialize``) equals, world names included, the product
     update before the split (``reference_update.event_pair_product_update``),
     and the pairing's shape is that successor's labels, designated set and
-    per-agent edges. Equal shapes give equal canonical keys and equal
+    per-agent successor rows. Equal shapes give equal canonical keys and equal
     owner-class keys for every agent. The sequential search gives the plans
     of the one that contracted and keyed every successor
     (``reference_policy.solve_sequential``)."""
@@ -983,7 +987,8 @@ class TestShapeOracle:
 class TestTrustedModels:
     """Every model a solve builds with the unchecked constructor
     (``EpistemicModel._trusted``: products and contraction quotients),
-    rebuilt by the checked constructor, is the same model."""
+    rebuilt by the checked constructor from its derived ``edges``, is the
+    same model with the same successor rows."""
 
     def record(self, monkeypatch):
         built = []
@@ -1004,6 +1009,10 @@ class TestTrustedModels:
             assert all(type(edges) is frozenset for edges in model.edges.values())
             checked = EpistemicModel(model.vocab, model.world_names, model.labels, model.edges)
             assert checked == model
+            assert type(model._rows) is tuple and len(model._rows) == len(model.vocab.agents)
+            assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
+                       for rows in model._rows)
+            assert model._rows == checked._rows
 
     def test_offices(self, monkeypatch):
         task = parse_task(offices_document(3)).task
