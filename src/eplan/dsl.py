@@ -696,7 +696,9 @@ class _Resolver:
                 if _declare(self.diagnostics, bucket, member, None, "object"):
                     self.record("object", member)
         self.sorts = {name: tuple(vals) for name, vals in sort_members.items()}
+        declared: dict[str, None] = {}
         for sort in doc.sorts:
+            _declare(self.diagnostics, declared, sort, None, "sort")
             self.sorts.setdefault(sort.text, ())
 
         atoms: dict[str, None] = {}

@@ -387,6 +387,7 @@ class TestNameDiagnostics:
                 "objects { loc: H, P, H; }\natoms { p }",
                 ["3:22: duplicate object: H"],
             ),
+            ("atoms { p }", "sorts { s, s }\natoms { p }", ["3:12: duplicate sort: s"]),
         ],
         ids=[
             "unknown-owner",
@@ -406,6 +407,7 @@ class TestNameDiagnostics:
             "duplicate-initial",
             "duplicate-owner",
             "duplicate-object",
+            "duplicate-sort",
         ],
     )
     def test_exact_diagnostics(self, old, new, expected):
