@@ -204,8 +204,8 @@ def cmd_apply(args, parsed: ParsedDocument) -> int:
         phi = parse_formula(args.check, task.vocab)
         check = {"formula": render_formula(phi), "value": eval_state(state, phi)}
     # Only the requested format is built: on the 512-world state of eight
-    # private asks, the text costs about half and the JSON about twice as
-    # much as the eight updates that made it.
+    # private asks, the text costs about as much and the JSON about six
+    # times as much as the eight updates that made it.
     if args.format == "json":
         payload = {
             "actions": list(args.actions),
