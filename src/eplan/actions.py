@@ -325,7 +325,7 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
     taken = [events[0] if len(events) == 1 else None for events, _ in outcomes]
     if not action.edges and None not in taken:
         labels = tuple([post[0] for _, post in outcomes])
-        rows = model._rows  # kept as they are when every world took one event
+        rows = model._rows  # kept as they are when every world took the same event
         if taken.count(taken[0]) < len(taken):
             rows = tuple(
                 tuple([tuple([v for v in row if taken[v] == e]) for e, row in zip(taken, table)])

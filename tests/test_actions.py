@@ -629,7 +629,6 @@ class TestReferenceOracle:
             )
             assert canonical_key(sub) == reference.canonical_key(same)
 
-
     def test_private_ask_chain_matches_reference(self, ask_private):
         # One to eight private asks: the eighth builds 512 worlds and 13,122
         # Employee2 edges, the largest state a bundled task reaches.
