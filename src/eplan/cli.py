@@ -14,7 +14,6 @@ for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -45,9 +44,13 @@ from .planner import (
 )
 
 JSON_VERSION = 1
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one request and return its exit code. The argument parser is built
+    once per process, by the first call; ``EPLAN_LOG`` is read on every call."""
+    global _parser
     name = os.environ.get("EPLAN_LOG", "").upper()
     if name:
         import logging
@@ -56,8 +59,9 @@ def main(argv=None) -> int:
         logging.basicConfig(
             level=level if isinstance(level, int) else logging.WARNING, stream=sys.stderr
         )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         # Every subcommand reads the task first, so a parse error comes
         # before any usage error.
@@ -95,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="fold product updates and print the result")
     common(p)
-    p.add_argument("--actions", nargs="*", default=[], metavar="NAME")
+    p.add_argument("--actions", nargs="*", default=(), metavar="NAME")
     p.add_argument("--contract", action="store_true", help="contract the result")
     p.add_argument("--check", help="also evaluate a formula in the resulting state")
     p.set_defaults(func=cmd_apply)
@@ -150,6 +154,8 @@ def _emit(args, text: str | None, payload: dict | None) -> None:
 
 
 def _digest(key: bytes) -> str:
+    import hashlib  # only policy output needs it
+
     return hashlib.sha256(key).hexdigest()[:12]
 
 

@@ -11,9 +11,9 @@ document has been read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .actions import EdgeGuard, EpistemicAction, Event, induced_action
 from .classical import ActionSchema, SchemaAtom, SchemaLiterals, applied_name, ground
@@ -63,8 +63,7 @@ MAX_FORMULA_NESTING = 200
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "punct" | "eof"
     text: str
     line: int
@@ -206,11 +205,11 @@ def _declare(diagnostics: list[Diagnostic], table: dict, name: Token, value, wha
 
 
 # --------------------------------------------------------------------------
-# Raw (unresolved) document pieces. Every positioned name is a `Token`.
+# Raw (unresolved) document pieces. Every positioned name is a `Token`. Each
+# record is built with fresh lists, which the parser then fills in place.
 
 
-@dataclass
-class _RawEdge:
+class _RawEdge(NamedTuple):
     agent: Token
     source: Token
     target: Token
@@ -218,49 +217,45 @@ class _RawEdge:
     guard_tokens: list[Token] | None  # None when unguarded
 
 
-@dataclass
-class _RawGraph:
+class _RawGraph(NamedTuple):
     """A ``state`` or ``action`` block. ``nodes`` lists (name, body) in
     document order: a world's body is its atom refs, an event's body its
     formula tokens by entry (``pre``, ``post``)."""
 
     name: Token
-    nodes: list[tuple[Token, object]] = field(default_factory=list)
-    edges: list[_RawEdge] = field(default_factory=list)
-    designated: list[Token] = field(default_factory=list)
+    nodes: list[tuple[Token, object]]
+    edges: list[_RawEdge]
+    designated: list[Token]
 
 
 # A schema literal: (positive?, predicate, arguments).
 _Literal = tuple[bool, Token, list[Token]]
 
 
-@dataclass
-class _RawSchema:
+class _RawSchema(NamedTuple):
     name: Token
     parameters: list[tuple[str, Token]]
     pre: list[_Literal]
     effect: list[_Literal]
 
 
-@dataclass
-class _RawTask:
+class _RawTask(NamedTuple):
     where: Token
     initial: Token | None
     actions: list[Token]
     owner: Token | None
 
 
-@dataclass
-class _RawDocument:
-    agents: list[Token] = field(default_factory=list)
-    sorts: list[Token] = field(default_factory=list)
-    objects: list[tuple[Token, list[Token]]] = field(default_factory=list)
-    atom_decls: list[tuple[Token, list[Token]]] = field(default_factory=list)
-    schemas: list[_RawSchema] = field(default_factory=list)
-    actions: list[_RawGraph] = field(default_factory=list)
-    states: list[_RawGraph] = field(default_factory=list)
-    goals: list[tuple[list[Token], Token]] = field(default_factory=list)
-    tasks: list[_RawTask] = field(default_factory=list)
+class _RawDocument(NamedTuple):
+    agents: list[Token]
+    sorts: list[Token]
+    objects: list[tuple[Token, list[Token]]]
+    atom_decls: list[tuple[Token, list[Token]]]
+    schemas: list[_RawSchema]
+    actions: list[_RawGraph]
+    states: list[_RawGraph]
+    goals: list[tuple[list[Token], Token]]
+    tasks: list[_RawTask]
 
 
 def _parse_call(s: _Stream, what: str) -> tuple[Token, list[Token]]:
@@ -285,10 +280,10 @@ def _parse_ref(s: _Stream, what: str = "a name") -> Token:
     return Token("ident", applied_name(head.text, [a.text for a in args]), head.line, head.col)
 
 
-def _parse_name_list(s: _Stream, what: str) -> list[Token]:
-    names = [_parse_ref(s, what)]
+def _parse_name_list(s: _Stream, what: str, read=_parse_ref) -> list[Token]:
+    names = [read(s, what)]
     while s.eat(","):
-        names.append(_parse_ref(s, what))
+        names.append(read(s, what))
     return names
 
 
@@ -312,7 +307,7 @@ def _collect_formula_tokens(s: _Stream, stop: tuple[str, ...]) -> list[Token]:
 
 
 def _parse_edge(s: _Stream, allow_guard: bool) -> _RawEdge:
-    agent = _parse_ref(s, "an agent name")
+    agent = s.expect_ident("an agent name")
     s.expect(":")
     source = _parse_ref(s, "an endpoint")
     if s.eat("--"):
@@ -332,7 +327,7 @@ def _parse_edge(s: _Stream, allow_guard: bool) -> _RawEdge:
 
 
 def _parse_raw(s: _Stream) -> _RawDocument:
-    doc = _RawDocument()
+    doc = _RawDocument(*([] for _ in _RawDocument._fields))
     while s.peek().kind != "eof":
         tok = s.peek()
         if tok.kind != "ident" or tok.text not in BLOCK_KEYWORDS:
@@ -354,7 +349,7 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
     if keyword == "agents":
         s.expect("{")
         if not s.at("}"):
-            doc.agents.extend(_parse_name_list(s, "an agent name"))
+            doc.agents.extend(_parse_name_list(s, "an agent name", _Stream.expect_ident))
         s.expect("}")
     elif keyword == "sorts":
         s.expect("{")
@@ -400,8 +395,9 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
             if entry.text == "actions":
                 actions.extend(_parse_name_list(s, "an action name"))
             elif entry.text in ("initial", "owner"):
+                read = _parse_ref if entry.text == "initial" else _Stream.expect_ident
                 what = "a state name" if entry.text == "initial" else "an agent name"
-                _declare(s.diagnostics, entries, entry, _parse_ref(s, what), "task entry")
+                _declare(s.diagnostics, entries, entry, read(s, what), "task entry")
             else:
                 raise s.error(f"unknown task entry {entry.text!r}", entry)
             s.eat(";")
@@ -453,7 +449,7 @@ def _parse_graph(s: _Stream, block: str, node: str, read_body) -> _RawGraph:
     and "a world", or "an action" and "an event"); ``read_body`` reads a
     node's body between its braces."""
     kind, node_kind = block.split()[1], node.split()[1]
-    graph = _RawGraph(_parse_ref(s, f"{block} name"))
+    graph = _RawGraph(_parse_ref(s, f"{block} name"), [], [], [])
     s.expect("{")
     while not s.at("}") and s.peek().kind != "eof":
         entry = s.expect_ident(f"{block} entry")
@@ -587,12 +583,10 @@ def parse_formula(text: str, vocab: Vocabulary) -> Formula:
 
 @dataclass
 class ParsedDocument:
-    """A fully resolved document: the task, named states, and a source map
-    from declared entity names (namespaced) to (line, column)."""
+    """A fully resolved document: the task and its named states."""
 
     task: EpistemicTask
     states: dict[str, EpistemicState]
-    source_map: dict[str, tuple[int, int]]
 
 
 def parse_task(text: str | bytes) -> ParsedDocument:
@@ -623,13 +617,9 @@ class _Resolver:
     def __init__(self, doc: _RawDocument, diagnostics: list[Diagnostic]):
         self.doc = doc
         self.diagnostics = diagnostics
-        self.source_map: dict[str, tuple[int, int]] = {}
 
     def note(self, where: Token, message: str) -> None:
         self.diagnostics.append(Diagnostic(where.line, where.col, message))
-
-    def record(self, namespace: str, name: Token) -> None:
-        self.source_map.setdefault(f"{namespace}:{name.text}", (name.line, name.col))
 
     def resolve(self) -> ParsedDocument | None:
         """The resolved document, or None after at least one diagnostic."""
@@ -678,7 +668,7 @@ class _Resolver:
         except (ModelError, VocabularyError) as exc:
             self.note(raw.where, str(exc))
             return None
-        return ParsedDocument(task, states, self.source_map)
+        return ParsedDocument(task, states)
 
     # -- phase 1: vocabulary ------------------------------------------------
 
@@ -686,15 +676,13 @@ class _Resolver:
         doc = self.doc
         agents: dict[str, None] = {}
         for name in doc.agents:
-            if _declare(self.diagnostics, agents, name, None, "agent"):
-                self.record("agent", name)
+            _declare(self.diagnostics, agents, name, None, "agent")
 
         sort_members: dict[str, dict[str, None]] = {}
         for sort, members in doc.objects:
             bucket = sort_members.setdefault(sort.text, {})
             for member in members:
-                if _declare(self.diagnostics, bucket, member, None, "object"):
-                    self.record("object", member)
+                _declare(self.diagnostics, bucket, member, None, "object")
         self.sorts = {name: tuple(vals) for name, vals in sort_members.items()}
         declared: dict[str, None] = {}
         for sort in doc.sorts:
@@ -706,7 +694,6 @@ class _Resolver:
             if head.text in RESERVED_HEADS:
                 self.note(head, f"{head.text!r} is reserved and cannot name an atom")
                 continue
-            self.record("atom", head)
             if not args:
                 _declare(self.diagnostics, atoms, head, None, "atom")
                 continue
@@ -732,7 +719,6 @@ class _Resolver:
         groups: dict[str, list[EpistemicAction]] = {}
         total = 0
         for raw in self.doc.schemas:
-            self.record("schema", raw.name)
             # Declared before grounding, so a later schema of the same name
             # is a duplicate even when this one fails.
             if not _declare(self.diagnostics, groups, raw.name, [], "schema"):
@@ -789,14 +775,12 @@ class _Resolver:
         node_kind, read = ("event", self._event) if is_action else ("world", self._world)
         out: dict = {}
         for raw in self.doc.actions if is_action else self.doc.states:
-            self.record(kind, raw.name)
             if not _declare(self.diagnostics, out, raw.name, None, kind):
                 continue
             values: list = []
             index: dict[str, int] = {}  # node names in document order
             ok = True
             for name, body in raw.nodes:
-                self.record(f"{node_kind} {raw.name.text}", name)
                 if not _declare(self.diagnostics, index, name, len(values), node_kind):
                     ok = False
                     continue

@@ -614,6 +614,22 @@ class TestErrors:
         argv = [str(policy_file) if arg in ("PLAN", "POLICY") else arg for arg in argv]
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    def test_help_repeats(self, capsys):
+        # Each help exits 0 on stdout, and asking again in the same process,
+        # after other requests, prints the same bytes.
+        commands = ["check", "apply", "contract", "solve", "validate", "execute", "dot"]
+        helps = []
+        for _ in range(2):
+            for argv in (["--help"], *([command, "--help"] for command in commands)):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                captured = capsys.readouterr()
+                assert exc.value.code == 0 and captured.err == ""
+                assert captured.out.startswith(f"usage: {' '.join(['eplan', *argv[:-1]])} ")
+                helps.append(captured.out)
+            assert run(capsys, "check", PO2, "top") == (0, "true\n", "")
+        assert helps[:8] == helps[8:]
+
     @pytest.mark.parametrize(
         "argv",
         [["validate", "BROKEN"], ["dot", "BROKEN", "--action", "X", "--state", "Y"]],
@@ -649,10 +665,14 @@ class TestErrors:
         )
 
     def test_import_leaves_logging_out(self):
-        proc = _run_python(
-            "-c", "import sys, eplan.cli; print('logging' in sys.modules)", EPLAN_LOG=""
+        # The library needs none of these; the CLI needs argparse and json.
+        script = (
+            "import sys; names = ('argparse', 'json', 'hashlib', 'logging'); import eplan; "
+            "print([n for n in names if n in sys.modules]); import eplan.cli; "
+            "print([n for n in names if n in sys.modules])"
         )
-        assert proc.returncode == 0 and proc.stdout == "False\n"
+        proc = _run_python("-c", script, EPLAN_LOG="")
+        assert proc.returncode == 0 and proc.stdout == "[]\n['argparse', 'json']\n"
 
     def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
         def broken(task, max_depth):

@@ -11,6 +11,10 @@ process through ``cli.main``:
 - ``solve`` seq and policy at ``--max-depth 8``;
 - ``validate`` and ``execute`` of the solved policy.
 
+The requests are also replayed in reverse order in one process, and
+after a usage error, so that no request depends on what an earlier one
+left behind in the process.
+
 An intended output change re-records the pins with
 
     PYTHONPATH=src python tests/test_cli_digests.py --record
@@ -37,11 +41,13 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
 MAX_DEPTH = "8"
 
 
-def requests(policy_file: str) -> list[list[str]]:
-    """Every request, as argv with the task path relative to the checkout."""
+def requests(policy_dir: str) -> list[list[str]]:
+    """Every request, as argv with the task path relative to the checkout.
+    Each task's policy file is its own, in ``policy_dir``."""
     out: list[list[str]] = []
     for path in sorted((ROOT / "tasks").glob("*.eplan")):
         task = f"tasks/{path.name}"
+        policy_file = str(Path(policy_dir) / f"{path.stem}.json")
         doc = parse_task(path.read_bytes())
         actions = [a.name for a in doc.task.actions]
         batch = [["check", task, "top"], ["contract", task], ["dot", task]]
@@ -73,29 +79,73 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_requests() -> dict[str, list]:
-    """Request (argv joined by spaces, the policy file written ``POLICY``)
-    -> [exit code, sha256 of stdout, sha256 of stderr]."""
+def call(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` in process, a task path relative to the checkout:
+    (exit code, stdout, stderr). An argparse exit gives its code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    real = [str(ROOT / a) if a.startswith("tasks/") else a for a in argv]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(real)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_requests(reverse: bool = False) -> dict[str, list]:
+    """Request (argv joined by spaces, a policy file written ``POLICY``)
+    -> [exit code, sha256 of stdout, sha256 of stderr]. In ``reverse``
+    order, ``validate`` and ``execute`` come before the ``solve -o`` that
+    writes their policy file, so those solves also run once beforehand."""
     digests: dict[str, list] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        policy_file = str(Path(tmp) / "policy.json")
-        for argv in requests(policy_file):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            real = [str(ROOT / a) if a.startswith("tasks/") else a for a in argv]
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(real)
-            key = " ".join("POLICY" if a == policy_file else a for a in argv)
-            digests[key] = [code, _sha(stdout.getvalue()), _sha(stderr.getvalue())]
+        batch = requests(tmp)
+        if reverse:
+            for argv in batch:
+                if "-o" in argv:
+                    call(argv)
+            batch.reverse()
+        for argv in batch:
+            code, out, err = call(argv)
+            key = " ".join("POLICY" if a.startswith(tmp) else a for a in argv)
+            digests[key] = [code, _sha(out), _sha(err)]
     return digests
 
 
-def test_cli_digests(monkeypatch):
+def check_digests(monkeypatch, reverse: bool) -> None:
     monkeypatch.delenv("EPLAN_LOG", raising=False)
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    actual = run_requests()
+    actual = run_requests(reverse)
     assert sorted(actual) == sorted(expected)
     moved = [key for key in expected if actual[key] != expected[key]]
     assert moved == []
+
+
+def test_cli_digests(monkeypatch):
+    check_digests(monkeypatch, reverse=False)
+
+
+def test_cli_digests_reversed(monkeypatch):
+    check_digests(monkeypatch, reverse=True)
+
+
+def test_request_after_usage_error(monkeypatch):
+    """argparse exits 2 on a usage error and prints the usage; the same
+    error again prints the same bytes, and a valid request after it prints
+    its recorded bytes."""
+    monkeypatch.delenv("EPLAN_LOG", raising=False)
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    task = "tasks/two_post_offices.eplan"
+    code, out, err = call(["solve", task, "--max-depth", MAX_DEPTH])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: eplan solve") and "Traceback" not in err
+    assert call(["solve", task, "--max-depth", MAX_DEPTH]) == (code, out, err)
+    for argv in (
+        ["solve", task, "--mode", "seq", "--max-depth", MAX_DEPTH],
+        ["apply", task, "--actions", "Go(Father,Home,PostOffice1)", "--format", "json"],
+    ):
+        code, out, err = call(argv)
+        assert [code, _sha(out), _sha(err)] == expected[" ".join(argv)]
 
 
 def record() -> None:

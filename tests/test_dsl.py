@@ -38,6 +38,7 @@ from eplan.cli import _state_payload
 from eplan.dsl import (
     MAX_FORMULA_NESTING,
     _serialize_block,
+    _tokenize,
     parse_formula,
     render_state,
     render_state_line,
@@ -99,12 +100,6 @@ class TestParse:
             "Go(Father,Home,PostOffice1)",
             "Go(Father,Home,PostOffice2)",
         ]
-
-    def test_source_map_positions(self):
-        doc = load_doc("two_post_offices")
-        line, col = doc.source_map["state:s0"]
-        assert line > 1 and col >= 1
-        assert "action:TryPickUp(Father,Present,PostOffice1)" in doc.source_map
 
     def test_minimal_document(self):
         doc = parse_task(MINIMAL)
@@ -218,6 +213,39 @@ task { initial: s0; actions: Go; }
                 parse_task(data)
             except TaskParseError:
                 pass  # diagnostics are the contract
+
+
+class TestTokenize:
+    def test_positions(self):
+        # Columns count characters from 1: a tab or a `\r` is one column,
+        # and `\n` starts the next line. A comment runs to the end of its
+        # line; an unexpected character is a diagnostic, not a token.
+        text = "agents { é, x² }\t# a -- b -> c\r\nedge A: u--v ->w;\r\n\t@ ²y\n#"
+        diagnostics = []
+        tokens = _tokenize(text, diagnostics)
+        assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
+            ("ident", "agents", 1, 1),
+            ("punct", "{", 1, 8),
+            ("ident", "é", 1, 10),
+            ("punct", ",", 1, 11),
+            ("ident", "x²", 1, 13),
+            ("punct", "}", 1, 16),
+            ("ident", "edge", 2, 1),
+            ("ident", "A", 2, 6),
+            ("punct", ":", 2, 7),
+            ("ident", "u", 2, 9),
+            ("punct", "--", 2, 10),
+            ("ident", "v", 2, 12),
+            ("punct", "->", 2, 14),
+            ("ident", "w", 2, 16),
+            ("punct", ";", 2, 17),
+            ("ident", "y", 3, 5),
+            ("eof", "", 4, 1),
+        ]
+        assert [str(d) for d in diagnostics] == [
+            "3:2: unexpected character '@'",
+            "3:4: unexpected character '²'",
+        ]
 
 
 class TestAtomDeclarations:
@@ -388,6 +416,16 @@ class TestNameDiagnostics:
                 ["3:22: duplicate object: H"],
             ),
             ("atoms { p }", "sorts { s, s }\natoms { p }", ["3:12: duplicate sort: s"]),
+            # An agent name is one identifier wherever it appears, as in
+            # `K[...]`: a call is a diagnostic at its `(`.
+            ("agents { A }", "agents { A, B(c) }", ["2:14: expected '}', found '('"]),
+            ("designated w;", "edge A(b): w -- w;\n  designated w;", ["10:9: expected ':', found '('"]),
+            (
+                "actions: skip; }",
+                "actions: skip; owner: A(b); }",
+                ["13:44: expected a task entry, found '('"],
+            ),
+            ("goal { p }", "goal { K[A(b)] p }", ["12:11: expected ']', found '('"]),
         ],
         ids=[
             "unknown-owner",
@@ -408,6 +446,10 @@ class TestNameDiagnostics:
             "duplicate-owner",
             "duplicate-object",
             "duplicate-sort",
+            "agent-call-declared",
+            "agent-call-in-edge",
+            "agent-call-as-owner",
+            "agent-call-in-knows",
         ],
     )
     def test_exact_diagnostics(self, old, new, expected):
