@@ -165,12 +165,6 @@ class EpistemicAction:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("EpistemicAction is immutable")
 
-    def event_index(self, name: str) -> int:
-        for i, event in enumerate(self.events):
-            if event.name == name:
-                return i
-        raise ModelError(f"action {self.name}: unknown event {name}")
-
     def guards(self, agent: Agent) -> dict[tuple[int, int], Formula]:
         """Explicit guarded edges of one agent, as (source, target) -> guard."""
         self._check_agent(agent)

@@ -163,6 +163,16 @@ class _Stream:
             return self.next()
         raise self.error(f"expected {what}, found {tok.text!r}")
 
+    def end_entry(self) -> None:
+        """Close a block entry. Its ``;`` may be left out before an
+        identifier, a ``}`` or the end of input; any other token is an
+        error at that token."""
+        tok = self.peek()
+        if tok.text == ";":
+            self.next()
+        elif tok.kind == "punct" and tok.text != "}":
+            raise self.error(f"expected ';' or '}}', found {tok.text!r}")
+
     def skip_to_recovery(self) -> None:
         """Skip tokens until a plausible top-level block start."""
         depth = 0
@@ -354,18 +364,18 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
     elif keyword == "sorts":
         s.expect("{")
         while not s.at("}") and s.peek().kind != "eof":
-            doc.sorts.append(_parse_ref(s, "a sort name"))
+            doc.sorts.append(s.expect_ident("a sort name"))
             if not (s.eat(",") or s.eat(";")):
                 break
         s.expect("}")
     elif keyword == "objects":
         s.expect("{")
         while not s.at("}") and s.peek().kind != "eof":
-            sort = _parse_ref(s, "a sort name")
+            sort = s.expect_ident("a sort name")
             s.expect(":")
-            members = _parse_name_list(s, "an object name")
+            members = _parse_name_list(s, "an object name", _Stream.expect_ident)
             doc.objects.append((sort, members))
-            s.eat(";")
+            s.end_entry()
         s.expect("}")
     elif keyword == "atoms":
         s.expect("{")
@@ -400,7 +410,7 @@ def _parse_block(s: _Stream, doc: _RawDocument) -> None:
                 _declare(s.diagnostics, entries, entry, read(s, what), "task entry")
             else:
                 raise s.error(f"unknown task entry {entry.text!r}", entry)
-            s.eat(";")
+            s.end_entry()
         s.expect("}")
         doc.tasks.append(_RawTask(where, entries.get("initial"), actions, entries.get("owner")))
 
@@ -413,7 +423,7 @@ def _parse_schema(s: _Stream) -> _RawSchema:
         while True:
             var = s.expect_ident("a parameter name")
             s.expect(":")
-            sort = _parse_ref(s, "a sort name")
+            sort = s.expect_ident("a sort name")
             params.append((var.text, sort))
             if not s.eat(","):
                 break
@@ -428,7 +438,7 @@ def _parse_schema(s: _Stream) -> _RawSchema:
         if entry.text not in ("pre", "effect"):
             raise s.error(f"unknown schema entry {entry.text!r}", entry)
         _parse_schema_literals(s, target)
-        s.eat(";")
+        s.end_entry()
     s.expect("}")
     return _RawSchema(name, params, pre, effect)
 
@@ -461,10 +471,10 @@ def _parse_graph(s: _Stream, block: str, node: str, read_body) -> _RawGraph:
             graph.nodes.append((name, body))
         elif entry.text == "edge":
             graph.edges.append(_parse_edge(s, allow_guard=kind == "action"))
-            s.eat(";")
+            s.end_entry()
         elif entry.text == "designated":
             graph.designated.extend(_parse_name_list(s, f"{node} name"))
-            s.eat(";")
+            s.end_entry()
         else:
             raise s.error(f"unknown {kind} entry {entry.text!r}", entry)
     s.expect("}")
@@ -484,7 +494,7 @@ def _event_body(s: _Stream) -> dict[str, list[Token]]:
         if part.text not in ("pre", "post"):
             raise s.error(f"unknown event entry {part.text!r}", part)
         _declare(s.diagnostics, parts, part, tokens, "event entry")
-        s.eat(";")
+        s.end_entry()
     return parts
 
 

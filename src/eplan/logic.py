@@ -286,10 +286,6 @@ class LiteralConjunction:
             raise ConsistencyError(f"contradictory literals: {names}")
 
     @classmethod
-    def of(cls, positives: Iterable[Atom] = (), negatives: Iterable[Atom] = ()) -> "LiteralConjunction":
-        return cls(frozenset(positives), frozenset(negatives))
-
-    @classmethod
     def from_formula(cls, phi: Formula) -> "LiteralConjunction":
         """Read a formula of literal-conjunction shape; reject anything else."""
         pos: set[Atom] = set()
@@ -316,10 +312,6 @@ class LiteralConjunction:
         parts: list[Formula] = [Prop(a) for a in sorted(self.positives, key=lambda a: a.index)]
         parts += [Not(Prop(a)) for a in sorted(self.negatives, key=lambda a: a.index)]
         return and_all(parts)
-
-    @property
-    def is_top(self) -> bool:
-        return not self.positives and not self.negatives
 
     def holds_in(self, valuation: frozenset[Atom]) -> bool:
         return self.positives <= valuation and not (self.negatives & valuation)

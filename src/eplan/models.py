@@ -4,9 +4,9 @@ bisimulation contraction, and canonical hashing keys for search nodes.
 Relations are stored as per-agent successor rows: row w lists w and its
 successors in ascending order. Reflexive loops are always present, so drawn
 figures and documents never need to declare them; the explicit edge sets
-are derived from the rows on first use. Symmetry/transitivity are not
-enforced structurally, so models with false beliefs (private actions) are
-representable; an optional checker can assert S5 properties.
+are derived from the rows. Symmetry/transitivity are not enforced
+structurally, so models with false beliefs (private actions) are
+representable.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ Edge = tuple[int, int]
 class EpistemicModel:
     """A finite multi-agent Kripke model with a valuation per world.
 
-    Not a dataclass: ``_trusted`` bypasses ``__init__``; caches fill lazily.
-    Immutable after construction. The stored relation is ``_rows``: per
-    agent in vocabulary order, one sorted successor row per world, the world
-    itself included. ``edges`` (per agent, the non-reflexive pairs) is
-    derived from the rows on first use, and union-reachability is cached per
-    world; both caches are functions of the model, so sharing is safe. A
-    model that :func:`bisim_contract` builds or returns is marked minimal
-    (no two of its worlds are bisimilar), so contracting a state over it
-    again is a restriction to the designated-reachable worlds, with no
-    refinement.
+    Not a dataclass: ``_trusted`` bypasses ``__init__``. Immutable after
+    construction. The stored relation is ``_rows``: per agent in vocabulary
+    order, one sorted successor row per world, the world itself included.
+    ``edges`` (per agent, the non-reflexive pairs) is derived from the rows
+    on each call. A model that :func:`bisim_contract` builds or returns is
+    marked minimal (no two of its worlds are bisimilar), so contracting a
+    state over it again is a restriction to the designated-reachable
+    worlds, with no refinement.
     """
 
-    __slots__ = ("vocab", "world_names", "labels", "_rows", "_edges", "_reach", "_minimal")
+    __slots__ = ("vocab", "world_names", "labels", "_rows", "_minimal")
 
     def __init__(
         self,
@@ -85,8 +83,6 @@ class EpistemicModel:
         object.__setattr__(self, "world_names", world_names)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_reach", {})
         object.__setattr__(self, "_minimal", False)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -99,13 +95,11 @@ class EpistemicModel:
     @property
     def edges(self) -> dict[Agent, frozenset[Edge]]:
         """Per agent, its explicit (non-reflexive) edges, derived from the
-        successor rows on first use."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", {
-                agent: frozenset([(u, v) for u, row in enumerate(rows) for v in row if v != u])
-                for agent, rows in zip(self.vocab.agents, self._rows)
-            })
-        return self._edges
+        successor rows."""
+        return {
+            agent: frozenset([(u, v) for u, row in enumerate(rows) for v in row if v != u])
+            for agent, rows in zip(self.vocab.agents, self._rows)
+        }
 
     def world_index(self, name: str) -> int:
         try:
@@ -134,24 +128,11 @@ class EpistemicModel:
 
     def union_reach(self, w: int) -> frozenset[int]:
         """Worlds reachable from ``w`` under the union of all relations."""
-        cached = self._reach.get(w)
-        if cached is None:
-            cached = self.reachable_from((w,))
-            self._reach[w] = cached
-        return cached
+        return self.reachable_from((w,))
 
     def reachable_from(self, starts: Iterable[int]) -> frozenset[int]:
         """Worlds reachable from ``starts`` under the union of all relations."""
         return frozenset(self.closure(starts, self.vocab.agents))
-
-    def is_equivalence(self, agent: Agent) -> bool:
-        """True when the agent's relation (with implicit loops) is an
-        equivalence relation; useful as an optional S5 check."""
-        explicit = self.edges[agent]
-        if any((v, u) not in explicit for (u, v) in explicit):
-            return False
-        succ = {w: set(self.successors(agent, w)) for w in range(self.n)}
-        return all(succ[v] <= succ[u] for u in range(self.n) for v in succ[u])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpistemicModel):

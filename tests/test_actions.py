@@ -206,7 +206,9 @@ class TestProductUpdate:
                 continue
             product = product_update(state, action)
             for agent in vocab.agents:
-                assert product.model.is_equivalence(agent)
+                # S5 on the successor rows: every world in u's row has u's row.
+                rows = [product.model.successors(agent, w) for w in range(product.model.n)]
+                assert all(rows[v] == rows[u] for u in range(len(rows)) for v in rows[u])
             checked += 1
 
     def test_locality_preserved(self):
@@ -297,9 +299,10 @@ class TestLocalAction:
         father = po2_ask.vocab.agent("Father")
         ask = po2_ask.action_named("AskWhetherPO1")
         narrowed = EpistemicAction(
-            ask.name, ask.vocab, ask.events, {ask.event_index("yes")}, ask.edges
+            ask.name, ask.vocab, ask.events, {0}, ask.edges
         )
-        assert local_action(narrowed, father).designated == {ask.event_index("yes")}
+        assert ask.events[0].name == "yes"
+        assert local_action(narrowed, father).designated == {0}
 
     def test_closure_follows_event_edges(self):
         vocab = Vocabulary(["p"], ["a", "b"])
@@ -362,7 +365,7 @@ class TestInducedAction:
         action = skip_action(po2.vocab)
         assert len(action.events) == 1
         assert action.events[0].pre == TOP
-        assert action.events[0].post.is_top
+        assert action.events[0].post == LiteralConjunction()
 
     def test_matches_dsl_grounded_action(self, po2):
         vocab = po2.vocab
@@ -583,7 +586,7 @@ def _crafted_cases():
     )
     guarded = EpistemicAction(
         "guarded", vocab,
-        [Event("x", TOP, LiteralConjunction.of([q.atom])), Event("y", Not(q), bare)], {0},
+        [Event("x", TOP, LiteralConjunction(frozenset([q.atom]))), Event("y", Not(q), bare)], {0},
         [EdgeGuard(a, 0, 1, p), EdgeGuard(b, 0, 1, Knows(a, p)), EdgeGuard(b, 1, 0)],
     )
     modal = EpistemicAction(

@@ -427,7 +427,7 @@ class TestEvalProp:
         goal = and_all([Prop(p)] * 3000)
         assert eval_prop(frozenset({p}), goal)
         assert not eval_prop(frozenset(), goal)
-        action = GroundAction("make", LiteralConjunction(), LiteralConjunction.of([p]))
+        action = GroundAction("make", LiteralConjunction(), LiteralConjunction(frozenset([p])))
         task = PropositionalTask(vocab, [action], set(), goal)
         assert solve_classical(task, 2) == ["make"]
 

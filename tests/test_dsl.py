@@ -423,9 +423,27 @@ class TestNameDiagnostics:
             (
                 "actions: skip; }",
                 "actions: skip; owner: A(b); }",
-                ["13:44: expected a task entry, found '('"],
+                ["13:44: expected ';' or '}', found '('"],
             ),
             ("goal { p }", "goal { K[A(b)] p }", ["12:11: expected ']', found '('"]),
+            # So is a sort or object name: a sort in `sorts`, an `objects`
+            # entry and a schema parameter, and an object.
+            ("atoms { p }", "sorts { s(a) }\natoms { p }", ["3:10: expected '}', found '('"]),
+            (
+                "atoms { p }",
+                "objects { T: a, b(c); }\natoms { p }",
+                ["3:18: expected ';' or '}', found '('"],
+            ),
+            ("atoms { p }", "objects { T(x): a; }\natoms { p }", ["3:12: expected ':', found '('"]),
+            (
+                "atoms { p }",
+                "sorts { T }\nobjects { T: a }\natoms { p }\n"
+                "schema Go(x: T(y)) { pre: top; effect: p; }",
+                ["6:15: expected ')', found '('"],
+            ),
+            # After an entry whose `;` may be left out, a punctuation token
+            # other than `;` or `}` is reported at that token.
+            ("initial: s0;", "initial: s0)", ["13:19: expected ';' or '}', found ')'"]),
         ],
         ids=[
             "unknown-owner",
@@ -450,6 +468,11 @@ class TestNameDiagnostics:
             "agent-call-in-edge",
             "agent-call-as-owner",
             "agent-call-in-knows",
+            "sort-call-declared",
+            "object-call",
+            "sort-call-in-objects",
+            "sort-call-as-parameter",
+            "entry-closed-by-paren",
         ],
     )
     def test_exact_diagnostics(self, old, new, expected):

@@ -287,7 +287,7 @@ class TestLiteralConjunction:
 
     def test_empty_is_top(self):
         lc = LiteralConjunction()
-        assert lc.is_top
+        assert lc == LiteralConjunction(frozenset(), frozenset())
         assert lc.to_formula() == TOP
         assert lc.holds_in(frozenset())
 
