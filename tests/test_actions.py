@@ -298,9 +298,7 @@ class TestLocalAction:
     def test_public_ask_events_distinguishable(self, po2_ask):
         father = po2_ask.vocab.agent("Father")
         ask = po2_ask.action_named("AskWhetherPO1")
-        narrowed = EpistemicAction(
-            ask.name, ask.vocab, ask.events, {0}, ask.edges
-        )
+        narrowed = EpistemicAction(ask.name, ask.vocab, ask.events, {0}, ask.edges)
         assert ask.events[0].name == "yes"
         assert local_action(narrowed, father).designated == {0}
 

@@ -366,8 +366,9 @@ class TestBlockDiagnostics:
 
 class TestNameDiagnostics:
     """The exact diagnostics of names that do not resolve (agents, atoms,
-    worlds, actions, states), of names declared twice and of the task
-    block, one edit of ``MINIMAL`` each: message, position and order."""
+    worlds, actions, states), of names declared twice or written as calls
+    and of the task block, one edit of ``MINIMAL`` each: message, position
+    and order."""
 
     @pytest.mark.parametrize(
         "old, new, expected",
@@ -426,8 +427,8 @@ class TestNameDiagnostics:
                 ["13:44: expected ';' or '}', found '('"],
             ),
             ("goal { p }", "goal { K[A(b)] p }", ["12:11: expected ']', found '('"]),
-            # So is a sort or object name: a sort in `sorts`, an `objects`
-            # entry and a schema parameter, and an object.
+            # So is a sort or object name: in `sorts`, as an `objects`
+            # entry's sort or member and as a schema parameter's sort.
             ("atoms { p }", "sorts { s(a) }\natoms { p }", ["3:10: expected '}', found '('"]),
             (
                 "atoms { p }",
