@@ -259,6 +259,7 @@ def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int 
     """A designated world with no applicable designated event, or None: the
     witness the pairing (:func:`_pair`) stops at. The state must share the
     action's vocabulary (checked)."""
+    _check_shared_vocab(state, action)
     try:
         _pair(state, action)
     except NotApplicableError as exc:
@@ -299,12 +300,17 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
     Designated worlds are paired first, in index order, so an inapplicable
     action raises before any other world is. When every world takes one
     event and the action has no explicit event edges, product world i is
-    world i, and w's row keeps the successors that took w's event."""
-    _check_shared_vocab(state, action)
+    world i, and w's row keeps the successors that took w's event.
+
+    The state must share the action's vocabulary (unchecked). Without modal
+    preconditions, a world's outcome is read from ``action._outcomes`` by
+    its label, and :func:`_outcome` runs only on a miss."""
     model = state.model
-    outcomes: list = [None] * model.n
+    labels = model.labels
+    memo = {} if action._modal or action._outcomes is None else action._outcomes
+    outcomes: list = [None] * len(labels)
     for w in sorted(state.designated):
-        outcomes[w] = _outcome(action, model, w)
+        outcomes[w] = memo.get(labels[w]) or _outcome(action, model, w)
         if action.designated.isdisjoint(outcomes[w][0]):
             raise NotApplicableError(
                 f"action {action.name} not applicable: designated world"
@@ -314,7 +320,7 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
             )
     for w, out in enumerate(outcomes):
         if out is None:
-            outcomes[w] = _outcome(action, model, w)
+            outcomes[w] = memo.get(labels[w]) or _outcome(action, model, w)
 
     taken = [events[0] if len(events) == 1 else None for events, _ in outcomes]
     if not action.edges and None not in taken:
@@ -331,7 +337,7 @@ def _pair(state: EpistemicState, action: EpistemicAction) -> tuple[tuple, tuple]
     # (w, e), or None when e's precondition fails at w.
     pairs = tuple((w, e) for w, (events, _) in enumerate(outcomes) for e in events)
     labels = tuple(label for _, post in outcomes for label in post)
-    slot: list[list[int | None]] = [[None] * model.n for _ in action.events]
+    slot: list[list[int | None]] = [[None] * len(outcomes) for _ in action.events]
     for i, (w, e) in enumerate(pairs):
         slot[e][w] = i
 
@@ -367,7 +373,9 @@ def _materialize(state: EpistemicState, action: EpistemicAction, shape, pairs) -
     model = state.model
     labels, designated, rows = shape
     names = tuple(f"({model.world_names[w]},{action.events[e].name})" for w, e in pairs)
-    return EpistemicState(EpistemicModel._trusted(model.vocab, names, labels, rows), designated)
+    return EpistemicState._trusted(
+        EpistemicModel._trusted(model.vocab, names, labels, rows), designated
+    )
 
 
 def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicState:
@@ -380,6 +388,7 @@ def product_update(state: EpistemicState, action: EpistemicAction) -> EpistemicS
     paired with no designated event is reported as the witness of
     :class:`NotApplicableError`, after the shared-vocabulary check. The
     pairing (:func:`_pair`) followed by its materialization."""
+    _check_shared_vocab(state, action)
     return _materialize(state, action, *_pair(state, action))
 
 

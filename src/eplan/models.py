@@ -113,10 +113,19 @@ class EpistemicModel:
 
     def closure(self, starts: Iterable[int], agents: Sequence[Agent]) -> set[int]:
         """Worlds reachable from ``starts`` (included) under the union of
-        the given agents' relations: one multi-source search."""
-        tables = [self._rows[agent.index] for agent in agents]
+        the given agents' relations: one multi-source search, which walks
+        one table's rows directly when one agent is asked."""
         seen = set(starts)
         frontier = list(seen)
+        if len(agents) == 1:
+            table = self._rows[agents[0].index]
+            while frontier:
+                for v in table[frontier.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+            return seen
+        tables = [self._rows[agent.index] for agent in agents]
         while frontier:
             u = frontier.pop()
             for table in tables:
@@ -170,6 +179,17 @@ class EpistemicState:
             if not 0 <= w < self.model.n:
                 raise ModelError(f"designated world out of range: {w}")
         object.__setattr__(self, "designated", des)
+
+    @classmethod
+    def _trusted(cls, model, designated, contracted=False) -> "EpistemicState":
+        """A state the library built itself, unchecked: ``designated`` is a
+        non-empty frozenset of worlds of ``model``, and ``contracted`` holds
+        only for a result of :func:`bisim_contract`."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "model", model)
+        object.__setattr__(state, "designated", designated)
+        object.__setattr__(state, "_contracted", contracted)
+        return state
 
     @property
     def is_global(self) -> bool:
@@ -268,33 +288,35 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
     successor blocks, until a round adds no block or every world has its
     own. The reachable set is closed under every agent's successors, so no
     successor needs filtering. Blocks are numbered in order of their
-    smallest world. When every world is reachable and has its own block,
-    the state itself is returned, its model marked minimal.
+    smallest world. When every world is reachable and has its own block
+    (as in a one-world model, which takes no closure search), the state
+    itself is returned, its model marked minimal.
     """
     if state._contracted:
         return state
     model = state.model
-    reach = sorted(model.reachable_from(state.designated))
+    n = len(model.labels)
     tables = model._rows
-    block = range(model.n) if model._minimal else model.labels
+    reach = [0] if n == 1 else sorted(model.closure(state.designated, model.vocab.agents))
+    block = range(n) if model._minimal else model.labels
     count = len({block[w] for w in reach})
     while count < len(reach):
         ids: dict[tuple, int] = {}
-        new_block = [0] * model.n
+        new_block = [0] * n
         for w in reach:
             sig = (block[w], tuple(frozenset([block[v] for v in table[w]]) for table in tables))
             new_block[w] = ids.setdefault(sig, len(ids))
         if len(ids) == count:
             break
         block, count = new_block, len(ids)
-    if count == model.n:
+    if count == n:
         object.__setattr__(model, "_minimal", True)
         object.__setattr__(state, "_contracted", True)
         return state
     members: dict[object, list[int]] = {}
     for w in reach:
         members.setdefault(block[w], []).append(w)
-    block_of = [0] * model.n
+    block_of = [0] * n
     for i, ws in enumerate(members.values()):
         for w in ws:
             block_of[w] = i
@@ -306,62 +328,60 @@ def bisim_contract(state: EpistemicState) -> EpistemicState:
         tuple(tuple(sorted({block_of[v] for v in table[w]})) for w in firsts)
         for table in tables
     )
-    designated = {block_of[w] for w in state.designated}
+    designated = frozenset([block_of[w] for w in state.designated])
     contracted = EpistemicModel._trusted(
         model.vocab, names, tuple(model.labels[w] for w in firsts), rows
     )
     object.__setattr__(contracted, "_minimal", True)
-    out = EpistemicState(contracted, designated)
-    object.__setattr__(out, "_contracted", True)
-    return out
+    return EpistemicState._trusted(contracted, designated, True)
 
 
 def canonical_key(state: EpistemicState) -> bytes:
     """A deterministic byte key with: equal keys iff bisimilar states.
 
-    Contracts first, then orders the (pairwise non-bisimilar) quotient
-    worlds by an iterated signature: label set and designated flag first,
-    then per-agent sorted successor-rank multisets, refined to a fixpoint.
-    Ranks are assigned by sorting signatures, so the final order does not
-    depend on the input's world numbering; any residual tie (impossible
-    after contraction, kept for safety) breaks by world index.
+    Contracts first (a state marked contracted is used as it is), then
+    orders the (pairwise non-bisimilar) quotient worlds by an iterated
+    signature: label set and designated flag first, then per-agent sorted
+    successor-rank multisets, refined to a fixpoint. Ranks are assigned by
+    sorting signatures, so the final order does not depend on the input's
+    world numbering; any residual tie (impossible after contraction, kept
+    for safety) breaks by world index. When the first signatures are
+    pairwise distinct (always so for one world) they are the order, since
+    a discrete ranking cannot change.
     """
-    c = bisim_contract(state)
-    model = c.model
-    n = model.n
-    agents = model.vocab.agents
-    label_keys = [model.vocab._label_key(label) for label in model.labels]
-
-    sigs: list[tuple] = [(label_keys[w], w in c.designated) for w in range(n)]
-    rank = _ranks(sigs)
-    while max(rank) < n - 1:  # a discrete ranking cannot change
-        sigs = [
-            (
-                rank[w],
-                tuple(
-                    tuple(sorted(rank[v] for v in model.successors(agent, w)))
-                    for agent in agents
-                ),
-            )
-            for w in range(n)
-        ]
-        new_rank = _ranks(sigs)
-        if new_rank == rank:
-            break
-        rank = new_rank
-
-    order = sorted(range(n), key=lambda w: (rank[w], w))
+    c = state if state._contracted else bisim_contract(state)
+    model, designated = c.model, c.designated
+    vocab, labels, tables = model.vocab, model.labels, model._rows
+    cache = vocab._label_keys
+    n = len(labels)
+    sigs: list[tuple] = [
+        (cache[label] if label in cache else vocab._label_key(label), w in designated)
+        for w, label in enumerate(labels)
+    ]
+    if len(set(sigs)) == n:
+        order = sorted(range(n), key=sigs.__getitem__)
+    else:
+        rank = _ranks(sigs)
+        while max(rank) < n - 1:  # a discrete ranking cannot change
+            new_rank = _ranks([
+                (rank[w], tuple(tuple(sorted(rank[v] for v in table[w])) for table in tables))
+                for w in range(n)
+            ])
+            if new_rank == rank:
+                break
+            rank = new_rank
+        order = sorted(range(n), key=lambda w: (rank[w], w))
     position = {w: i for i, w in enumerate(order)}
     payload = (
-        len(model.vocab.atoms),
-        len(agents),
+        len(vocab.atoms),
+        len(tables),
         n,
-        tuple((label_keys[w], w in c.designated) for w in order),
+        tuple(sigs[w] for w in order),
         tuple(
             tuple(sorted([
                 (position[u], position[v]) for u, row in enumerate(rows) for v in row if v != u
             ]))
-            for rows in model._rows
+            for rows in tables
         ),
     )
     return repr(payload).encode("ascii")

@@ -286,11 +286,11 @@ def _owner_classes(
         if state._contracted and closure == state.designated:
             view = state
         else:
-            view = bisim_contract(EpistemicState(model, closure))
+            view = bisim_contract(EpistemicState._trusted(model, closure))
         key = canonical_key(view)
         if key not in classes:
             classes[key] = view
-    return sorted(classes.items(), key=lambda kv: kv[0])
+    return sorted(classes.items())
 
 
 @dataclass
@@ -333,16 +333,17 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
         if node.goal or node.depth >= depth_cap:
             continue
         for action, shape, pairs in applicable_updates(node.state, task.actions):
-            if shape not in children:
+            keys = children.get(shape)
+            if keys is None:
                 update = _materialize(node.state, action, shape, pairs)
                 classes = _owner_classes(bisim_contract(update), owner)
-                children[shape] = tuple(key for key, _ in classes)
+                keys = children[shape] = tuple(key for key, _ in classes)
                 for child_key, child_state in classes:
                     if child_key not in nodes:
                         goal = _goal_holds(task, child_state)
                         nodes[child_key] = _Node(child_state, node.depth + 1, goal)
                         queue.append(child_key)
-            node.edges.append((action.name, children[shape]))
+            node.edges.append((action.name, keys))
 
     # Per edge, the number of its children not yet solved; per node, the
     # edges (parent key, edge index) it is a child of.

@@ -106,6 +106,18 @@ class TestParse:
         assert doc.task.initial.model.n == 1
         assert len(doc.task.actions) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("atoms { p }", "sorts { }\natoms { p }"),
+        ("atoms { p }", "sorts { s, }\natoms { p }"),
+        ("atoms { p }", "atoms { p, }"),
+        ("atoms { p }", "atoms { p; }"),
+    ])
+    def test_name_lists_may_be_empty_or_end_with_a_separator(self, old, new):
+        # `sorts` and `atoms` as docs/dsl.md gives them: an empty list and a
+        # trailing `,` or `;` parse with no diagnostic.
+        task = parse_task(MINIMAL.replace(old, new)).task
+        assert [atom.name for atom in task.vocab.atoms] == ["p"]
+
     def test_empty_document_reports_missing_task(self):
         with pytest.raises(TaskParseError) as exc:
             parse_task("")

@@ -23,6 +23,7 @@ from eplan import (
     local_state,
     product_update,
 )
+import eplan.models as models_module
 import reference_update as reference
 from conftest import gen_task
 from reference_update import applicable_actions
@@ -377,6 +378,44 @@ class TestCanonicalKey:
         for i, s in enumerate(states):
             for j, t in enumerate(states):
                 assert (keys[i] == keys[j]) == bisimilar(s, t)
+
+
+class TestKeyOracle:
+    """``canonical_key`` gives ``reference_update.canonical_key``'s bytes on
+    generated initial states, each agent's local view of them and every
+    successor of those under the task's actions, and each way of ordering
+    the contracted worlds runs: one world, pairwise distinct first
+    signatures (label and designated flag) with no refinement, and
+    refinement (``_ranks``)."""
+
+    def test_generated_tasks(self, monkeypatch):
+        ranks = models_module._ranks
+        ranked = []
+
+        def counting(sigs):
+            ranked.append(sigs)
+            return ranks(sigs)
+
+        monkeypatch.setattr(models_module, "_ranks", counting)
+        paths = dict.fromkeys(("one world", "distinct", "refinement"), 0)
+        rng = random.Random(2901)
+        for _ in range(300):
+            task = gen_task(rng, max_agents=3, max_worlds=4)
+            states = [task.initial] + [local_state(task.initial, a) for a in task.vocab.agents]
+            for state in list(states):
+                states += [product_update(state, a) for a in applicable_actions(state, task.actions)]
+            for state in states:
+                before = len(ranked)
+                assert canonical_key(state) == reference.canonical_key(state)
+                c = bisim_contract(state)
+                sigs = {(frozenset(c.model.labels[w]), w in c.designated) for w in range(c.model.n)}
+                if c.model.n == 1:
+                    path = "one world"
+                else:
+                    path = "distinct" if len(sigs) == c.model.n else "refinement"
+                assert (len(ranked) > before) == (path == "refinement")
+                paths[path] += 1
+        assert all(paths.values()), paths
 
 
 def _unmarked_copy(state):

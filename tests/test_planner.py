@@ -188,7 +188,9 @@ class TestSolveSequential:
         # contractions, 1,319 keys and 1,318 ``applicable`` calls before.
         # Each of the 1,318 pairings was a full ``product_update`` before;
         # now only a new shape's successor is built, by the unchecked
-        # constructor.
+        # constructor. A key of a contracted state does not contract it
+        # again (548 contractions before), and a one-world state is
+        # contracted with no closure search (274 closures before).
         task = parse_task(offices_document(5)).task
         calls = count_calls(monkeypatch)
         plan = solve_sequential(task, 13)
@@ -196,7 +198,7 @@ class TestSolveSequential:
         assert calls == {
             "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 0,
             "_pair": 1318, "_materialize": 273, "init": 0,
-            "bisim_contract": 548, "canonical_key": 274, "closure": 274,
+            "bisim_contract": 274, "canonical_key": 274, "closure": 262,
         }
 
     def test_pickup_variant_on_global_task(self, po2):
@@ -301,7 +303,9 @@ class TestSolvePolicy:
         # closures before; 773 while a world inside an earlier closure
         # was skipped). Of the 1,358 pairings (each a full ``product_update``
         # before), only the new shapes' successors are built, by the
-        # unchecked constructor.
+        # unchecked constructor. A key of a contracted state does not
+        # contract it again (773 contractions before), and a one-world
+        # state is contracted with no closure search (1,156 closures before).
         task = parse_task(offices_document(5)).task
         calls = count_calls(monkeypatch)
         policy = solve_policy(task, 13)
@@ -309,7 +313,7 @@ class TestSolvePolicy:
         assert calls == {
             "applicable": 0, "local_state": 0, "globals_of": 0, "product_update": 0,
             "_pair": 1358, "_materialize": 273, "init": 0,
-            "bisim_contract": 773, "canonical_key": 349, "closure": 1156,
+            "bisim_contract": 424, "canonical_key": 349, "closure": 1114,
         }
 
     def test_owner_required(self, po2):
@@ -988,20 +992,43 @@ class TestTrustedModels:
     """Every model a solve builds with the unchecked constructor
     (``EpistemicModel._trusted``: products and contraction quotients),
     rebuilt by the checked constructor from its derived ``edges``, is the
-    same model with the same successor rows."""
+    same model with the same successor rows. Every state it builds with
+    ``EpistemicState._trusted`` (products, quotients and owner classes) is
+    the state the checked constructor builds, and is marked contracted
+    only when contraction returned it."""
 
     def record(self, monkeypatch):
-        built = []
+        built, states, contracted = [], [], []
         trusted = models_module.EpistemicModel._trusted
+        trusted_state = models_module.EpistemicState._trusted
 
         def recording(*args):
             built.append(trusted(*args))
             return built[-1]
 
-        monkeypatch.setattr(models_module.EpistemicModel, "_trusted", staticmethod(recording))
-        return built
+        def recording_state(*args):
+            states.append(trusted_state(*args))
+            return states[-1]
 
-    def assert_checked(self, built):
+        monkeypatch.setattr(models_module.EpistemicModel, "_trusted", staticmethod(recording))
+        monkeypatch.setattr(
+            models_module.EpistemicState, "_trusted", staticmethod(recording_state)
+        )
+        original = models_module.bisim_contract
+
+        def contracting(state):  # records what contraction itself marked
+            marked = state._contracted
+            result = original(state)
+            if not marked:
+                contracted.append(result)
+            return result
+
+        for module in (planner, actions_module, models_module):
+            if vars(module).get("bisim_contract") is original:
+                monkeypatch.setattr(module, "bisim_contract", contracting)
+        return built, states, contracted
+
+    def assert_checked(self, built, states, contracted):
         for model in built:
             assert type(model.world_names) is tuple and type(model.labels) is tuple
             assert all(type(label) is frozenset for label in model.labels)
@@ -1013,23 +1040,39 @@ class TestTrustedModels:
             assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
                        for rows in model._rows)
             assert model._rows == checked._rows
+        results = {id(state) for state in contracted}
+        for state in states:
+            assert type(state.designated) is frozenset and state.designated
+            assert all(0 <= w < state.model.n for w in state.designated)
+            assert state == EpistemicState(state.model, state.designated)
+            assert not state._contracted or id(state) in results
+        assert any(state._contracted for state in states)
+        assert not all(state._contracted for state in states)
 
     def test_offices(self, monkeypatch):
         task = parse_task(offices_document(3)).task
-        built = self.record(monkeypatch)
+        recorded = self.record(monkeypatch)
         assert solve_sequential(task, 9) is not None and solve_policy(task, 9) is not None
-        assert len(built) > 100
-        self.assert_checked(built)
+        assert len(recorded[0]) > 100 and len(recorded[1]) > 100
+        self.assert_checked(*recorded)
+
+    def test_private_ask(self, monkeypatch, ask_private):
+        recorded = self.record(monkeypatch)
+        assert solve_sequential(ask_private, 4) is not None
+        for agent in ask_private.vocab.agents:
+            solve_policy(localize(ask_private, agent), 4)
+        assert len(recorded[0]) > 10 and len(recorded[1]) > 10
+        self.assert_checked(*recorded)
 
     def test_generated_tasks(self, monkeypatch):
         rng = random.Random(101)
-        built = self.record(monkeypatch)
+        recorded = self.record(monkeypatch)
         for _ in range(200):
             task = gen_task(rng, max_agents=3, max_worlds=4)
             solve_sequential(task, 4)
             solve_policy(localize(task, task.vocab.agents[-1]), 3)
-        assert len(built) > 1000
-        self.assert_checked(built)
+        assert len(recorded[0]) > 1000 and len(recorded[1]) > 1000
+        self.assert_checked(*recorded)
 
 
 def _run(execution):
