@@ -10,7 +10,6 @@ from .actions import (
     local_action,
     make_ask,
     product_update,
-    skip_action,
 )
 from .classical import (
     ActionSchema,
@@ -61,8 +60,6 @@ from .logic import (
     BOTTOM,
     Vocabulary,
     and_all,
-    atoms_of,
-    desugar,
     eval_state,
     eval_world,
     render_formula,

@@ -418,10 +418,6 @@ def induced_action(
     return EpistemicAction(name, vocab, [Event("e", pre, post)], {0})
 
 
-def skip_action(vocab: Vocabulary, name: str = "skip") -> EpistemicAction:
-    return induced_action(name, vocab, TOP, LiteralConjunction())
-
-
 def make_ask(
     vocab: Vocabulary,
     asker: Agent,

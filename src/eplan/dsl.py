@@ -970,7 +970,10 @@ def _edges(
         one_way = []
         for (u, v), guard in table.items():
             back = table.get((v, u))
-            if back is not None and back == guard:
+            # As rendered text: walked without recursion, parsed back the same.
+            if back is not None and (
+                back is guard or render_formula(back) == render_formula(guard)
+            ):
                 if u < v:
                     yield agent, u, v, True, guard
             else:

@@ -1,9 +1,10 @@
 """Epistemic language: vocabulary, formula AST, and the truth definition.
 
 Formulas are evaluated against Kripke-style models that expose
-``vocab``, ``labels``, ``successors(agent, world)`` and ``union_reach(world)``
-(see :mod:`eplan.models`); keeping the evaluator duck-typed avoids an import
-cycle between syntax and structures.
+``vocab``, ``labels``, ``successors(agent, world)`` and
+``closure(starts, agents)`` (see :mod:`eplan.models`); keeping the evaluator
+duck-typed avoids an import cycle between syntax and structures. ``&``/``|``
+chains are walked without recursion, and ``Or`` is evaluated directly.
 """
 
 from __future__ import annotations
@@ -173,23 +174,6 @@ def and_all(parts: Iterable[Formula]) -> Formula:
     return result
 
 
-def desugar(phi: Formula) -> Formula:
-    """Rewrite Or nodes into the primitive connectives."""
-    if isinstance(phi, (Top, Bottom, Prop)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(desugar(phi.sub))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Not(And(Not(desugar(phi.left)), Not(desugar(phi.right))))
-    if isinstance(phi, Knows):
-        return Knows(phi.agent, desugar(phi.sub))
-    if isinstance(phi, Common):
-        return Common(desugar(phi.sub))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def _nodes(phi: Formula) -> Iterator[Formula]:
     """Every node of ``phi`` in reading order (pre-order, left to right),
     walked without recursion."""
@@ -204,11 +188,6 @@ def _nodes(phi: Formula) -> Iterator[Formula]:
             stack.append(node.sub)
         elif not isinstance(node, (Top, Bottom, Prop)):
             raise TypeError(f"not a formula: {node!r}")
-
-
-def atoms_of(phi: Formula) -> frozenset[Atom]:
-    """The atoms syntactically occurring in ``phi``."""
-    return frozenset(node.atom for node in _nodes(phi) if isinstance(node, Prop))
 
 
 def is_propositional(phi: Formula) -> bool:
@@ -365,7 +344,7 @@ def _eval(model, w: int, phi: Formula) -> bool:
     if isinstance(phi, Knows):
         return all(_eval(model, v, phi.sub) for v in model.successors(phi.agent, w))
     if isinstance(phi, Common):
-        return all(_eval(model, v, phi.sub) for v in model.union_reach(w))
+        return all(_eval(model, v, phi.sub) for v in model.closure((w,), model.vocab.agents))
     raise TypeError(f"not a formula: {phi!r}")
 
 

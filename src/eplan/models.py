@@ -135,14 +135,6 @@ class EpistemicModel:
                         frontier.append(v)
         return seen
 
-    def union_reach(self, w: int) -> frozenset[int]:
-        """Worlds reachable from ``w`` under the union of all relations."""
-        return self.reachable_from((w,))
-
-    def reachable_from(self, starts: Iterable[int]) -> frozenset[int]:
-        """Worlds reachable from ``starts`` under the union of all relations."""
-        return frozenset(self.closure(starts, self.vocab.agents))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpistemicModel):
             return NotImplemented

@@ -244,11 +244,8 @@ class Policy:
             policy.states[key] = view
         return policy
 
-    def key_for(self, state: EpistemicState) -> bytes:
-        return _owner_view(state, self.owner)[1]
-
     def action_for(self, state: EpistemicState) -> str | None:
-        return self.entries.get(self.key_for(state))
+        return self.entries.get(_owner_view(state, self.owner)[1])
 
     def __len__(self) -> int:
         return len(self.entries)

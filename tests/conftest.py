@@ -4,6 +4,7 @@ property suites."""
 from __future__ import annotations
 
 import random
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -231,3 +232,28 @@ def gen_belief(rng: random.Random, vocab: Vocabulary, max_vals: int = 3) -> Beli
     for _ in range(rng.randint(1, max_vals)):
         vals.add(frozenset(a for a in vocab.atoms if rng.random() < 0.5))
     return BeliefState(vals)
+
+
+# --------------------------------------------------------------------------
+# Exhaustive enumeration for bounded oracles
+
+
+def _subsets(items) -> list[tuple]:
+    return list(chain.from_iterable(combinations(items, k) for k in range(len(items) + 1)))
+
+
+def all_states(vocab: Vocabulary, max_worlds: int):
+    """Every state over ``vocab`` with at most ``max_worlds`` worlds: each
+    label tuple, each subset of non-reflexive edges per agent and each
+    non-empty designated set, in a fixed order. The states of one label
+    tuple and edge choice share their model."""
+    labels = [frozenset(atoms) for atoms in _subsets(vocab.atoms)]
+    for n in range(1, max_worlds + 1):
+        names = [f"w{i}" for i in range(n)]
+        edge_sets = _subsets([(u, v) for u in range(n) for v in range(n) if u != v])
+        designated_sets = _subsets(range(n))[1:]
+        for label_tuple in product(labels, repeat=n):
+            for edges in product(edge_sets, repeat=len(vocab.agents)):
+                model = EpistemicModel(vocab, names, label_tuple, dict(zip(vocab.agents, edges)))
+                for designated in designated_sets:
+                    yield EpistemicState(model, designated)

@@ -48,7 +48,6 @@ from eplan import (
     local_state,
     make_ask,
     product_update,
-    skip_action,
 )
 from eplan.actions import _materialize, applicable_updates, inapplicable_witness
 from eplan.logic import _eval, _nodes, is_propositional
@@ -74,7 +73,7 @@ class TestApplicable:
         assert not applicable(po2.initial, po2.action_named("Wrap(Father,Present)"))
 
     def test_skip_always_applicable(self, po2):
-        assert applicable(po2.initial, skip_action(po2.vocab))
+        assert applicable(po2.initial, induced_action("skip", po2.vocab, TOP, LiteralConjunction()))
 
     def test_update_rejects_inapplicable_with_witness(self, po2):
         wrap = po2.action_named("Wrap(Father,Present)")
@@ -156,7 +155,8 @@ class TestProductUpdate:
         assert eval_state(s2, knows_whether)
 
     def test_skip_is_identity_up_to_bisimilarity(self, po2):
-        updated = product_update(po2.initial, skip_action(po2.vocab))
+        skip = induced_action("skip", po2.vocab, TOP, LiteralConjunction())
+        updated = product_update(po2.initial, skip)
         assert bisimilar(updated, po2.initial)
 
     def test_composite_world_names(self, po2, s1):
@@ -360,7 +360,7 @@ class TestInducedAction:
         assert action.events[0].pre == pre.to_formula()
 
     def test_skip_shape(self, po2):
-        action = skip_action(po2.vocab)
+        action = induced_action("skip", po2.vocab, TOP, LiteralConjunction())
         assert len(action.events) == 1
         assert action.events[0].pre == TOP
         assert action.events[0].post == LiteralConjunction()
@@ -592,7 +592,7 @@ def _crafted_cases():
         [Event("yes", Knows(a, p), bare), Event("no", Not(Knows(a, p)), bare)], {0, 1},
     )
     known = EpistemicAction("known", vocab, [Event("x", Knows(b, q), bare)], {0})
-    skip = skip_action(vocab)
+    skip = induced_action("skip", vocab, TOP, LiteralConjunction())
     states = {"chain": chain, "twins": twins}
     actions = [contradictory, contradictory_designated, guarded, modal, known, skip]
     return [

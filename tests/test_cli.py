@@ -590,6 +590,27 @@ class TestErrors:
         ]
         assert run(capsys, "check", PO2, op.join(["top"] * 3000)) == (0, "true\n", "")
 
+    def test_long_guard_pair_is_drawn_once(self, capsys, tmp_path):
+        # An edge pair whose equal guards are 3,000-conjunct chains is one
+        # two-way edge in DOT and in the written document.
+        guard = " & ".join(["p"] * 3000)
+        text = (
+            "agents { A }\natoms { p }\naction X {\n"
+            "  event e1 { pre: top; post: top; }\n  event e2 { pre: top; post: top; }\n"
+            f"  edge A: e1 -> e2 if {guard};\n  edge A: e2 -> e1 if {guard};\n"
+            "  designated e1;\n}\nstate s0 { world w { p } designated w; }\n"
+            "goal { p }\ntask { initial: s0; actions: X; owner: A; }\n"
+        )
+        document = tmp_path / "guard.eplan"
+        document.write_text(text)
+        code, out, err = run(capsys, "dot", str(document), "--action", "X")
+        assert (code, err) == (0, "")
+        edges = [line for line in out.splitlines() if " -> " in line]
+        assert len(edges) == 1 and edges[0].endswith(", dir=none];")
+        written = serialize_task(parse_task(text.encode()).task)
+        assert written.count(" -- ") == 1 and " -> " not in written
+        assert f"  edge A: e1 -- e2 if {guard};\n" in written
+
     @pytest.mark.parametrize(
         "argv, message",
         [

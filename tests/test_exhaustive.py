@@ -1,0 +1,58 @@
+"""Bounded-exhaustive oracles: every small state, checked against
+``tests/reference_update.py``. Small corners that a random draw rarely hits
+(an agent with no edges, an empty label, a designated set that is not
+closed) are all among them.
+
+Two scopes: 2 atoms and 2 agents with at most 2 worlds (772 states), and
+1 atom and 1 agent with at most 3 worlds (3,634 states). In the first, two
+worlds with one label are always bisimilar, so no refinement round can
+split a block and every contracted state has pairwise distinct labels; the
+second reaches both refinement loops (``bisim_contract``'s and the key's
+``_ranks``)."""
+
+from itertools import combinations
+
+import pytest
+
+import reference_update as reference
+from conftest import all_states
+from eplan import Common, Vocabulary, canonical_key, eval_world, parse_formula
+
+TWO_BY_TWO = Vocabulary(["p", "q"], ["a", "b"])
+
+
+@pytest.fixture(scope="module")
+def two_by_two():
+    return list(all_states(TWO_BY_TWO, 2))
+
+
+@pytest.mark.parametrize(
+    "atoms, agents, max_worlds, n_states, n_keys",
+    [(["p", "q"], ["a", "b"], 2, 772, 244), (["p"], ["a"], 3, 3634, 178)],
+    ids=["2-atoms-2-agents-2-worlds", "1-atom-1-agent-3-worlds"],
+)
+def test_key_equality_is_bisimilarity(atoms, agents, max_worlds, n_states, n_keys):
+    groups: dict[bytes, list] = {}
+    states = list(all_states(Vocabulary(atoms, agents), max_worlds))
+    for state in states:
+        groups.setdefault(canonical_key(state), []).append(state)
+    assert (len(states), len(groups)) == (n_states, n_keys)
+    for first, *rest in groups.values():
+        for t in rest:
+            assert reference.bisimilar(first, t), (first, t)
+    for s, t in combinations([group[0] for group in groups.values()], 2):
+        assert not reference.bisimilar(s, t), (s, t)
+
+
+@pytest.mark.parametrize("text", ["p", "!q", "p | K[a] q", "K[b] !p"])
+def test_common_knowledge_is_truth_on_the_union_reach(two_by_two, text):
+    phi = parse_formula(text, TWO_BY_TWO)
+    seen = []
+    for state in two_by_two:
+        model = state.model
+        for w in range(model.n):
+            expected = all(eval_world(model, v, phi) for v in reference.union_reach(model, w))
+            assert eval_world(model, w, Common(phi)) == expected, (state, w)
+            seen.append((eval_world(model, w, phi), expected))
+    # Somewhere phi holds at w but not on all of its union reach.
+    assert len(seen) == 4 + 768 * 2 and (True, False) in seen

@@ -170,7 +170,7 @@ def naive_partition(state):
     Worlds are bisimilar iff they share labels and, for every agent, the
     same set of successor blocks (reachable part only, self included)."""
     model = state.model
-    reach = sorted(model.reachable_from(state.designated))
+    reach = sorted(model.closure(state.designated, model.vocab.agents))
     blocks = {}
     for w in reach:
         blocks.setdefault(frozenset(model.labels[w]), []).append(w)
@@ -476,7 +476,8 @@ class TestContractedMark:
                 assert c == oracle and c.model.world_names == oracle.model.world_names
                 state = c
             assert bisim_contract(state) is state
-            assert state.model.reachable_from(state.designated) == frozenset(range(state.model.n))
+            model = state.model
+            assert model.closure(state.designated, model.vocab.agents) == set(range(model.n))
             assert reference.bisim_contract(_unmarked_copy(state)).model.n == state.model.n
         assert marked > 500 and unmarked > 500
 
@@ -530,9 +531,10 @@ class TestReachability:
         for state in _walk_states(rng, 200):
             model = state.model
             starts = sorted(state.designated)
-            assert model.reachable_from(starts) == reference.reachable_from(model, starts)
+            agents = model.vocab.agents
+            assert model.closure(starts, agents) == reference.reachable_from(model, starts)
             for w in range(model.n):
-                assert model.union_reach(w) == reference.union_reach(model, w)
+                assert model.closure((w,), agents) == reference.union_reach(model, w)
             for agent in model.vocab.agents:
                 ours, theirs = local_state(state, agent), reference.local_state(state, agent)
                 assert ours == theirs and not ours._contracted
