@@ -230,8 +230,14 @@ def _check_shared_vocab(state: EpistemicState, action: EpistemicAction) -> None:
 
 def applicable(state: EpistemicState, action: EpistemicAction) -> bool:
     """For every designated world there is a designated event whose
-    precondition holds there."""
-    return inapplicable_witness(state, action) is None
+    precondition holds there: the pairing (:func:`_pair`) meets no
+    witness. The state must share the action's vocabulary (checked)."""
+    _check_shared_vocab(state, action)
+    try:
+        _pair(state, action)
+    except NotApplicableError:
+        return False
+    return True
 
 
 def applicable_updates(state: EpistemicState, actions: Iterable[EpistemicAction]):
@@ -253,18 +259,6 @@ def applicable_updates(state: EpistemicState, actions: Iterable[EpistemicAction]
             except NotApplicableError:
                 continue
             yield action, shape, pairs
-
-
-def inapplicable_witness(state: EpistemicState, action: EpistemicAction) -> int | None:
-    """A designated world with no applicable designated event, or None: the
-    witness the pairing (:func:`_pair`) stops at. The state must share the
-    action's vocabulary (checked)."""
-    _check_shared_vocab(state, action)
-    try:
-        _pair(state, action)
-    except NotApplicableError as exc:
-        return exc.witness
-    return None
 
 
 def _outcome(action: EpistemicAction, model: EpistemicModel, w: int) -> tuple:

@@ -169,7 +169,7 @@ class PlanReport:
 def validate_plan(task: EpistemicTask, plan: SequentialPlan | Sequence[str]) -> PlanReport:
     """Replay product updates; report the first inapplicable step or the
     final goal verdict. Unknown action names raise."""
-    steps = list(plan.steps if isinstance(plan, SequentialPlan) else plan)
+    steps = list(plan)
     state = bisim_contract(task.initial)
     for i, name in enumerate(steps):
         action = task.action_named(name)
@@ -411,34 +411,30 @@ class Execution:
 class _Graph:
     """The step table that every policy walk reads, keyed by the canonical
     key of a contracted global state: the state (the trace representative),
-    the policy's action there (asked once) and its successor keys (stepped
-    at most once, when a walk first needs them). Successors keep world order
-    and repeats, since each one is a separate execution; None means the
-    action is not applicable. A :class:`Policy` looks a state up by its
-    owner view's key, worked out once, on adding the state."""
+    its owner view, the policy's action there (looked up once, by the view's
+    key) and its successor keys (stepped at most once, when a walk first
+    needs them). Successors keep world order and repeats, since each one is
+    a separate execution; None means the action is not applicable. The
+    policy must be the task owner's (checked)."""
 
-    def __init__(self, task: EpistemicTask, policy):
+    def __init__(self, task: EpistemicTask, policy: Policy):
+        if policy.owner != task.owner:
+            owner = f"owner {task.owner.name}" if task.owner else "no owner"
+            raise ModelError(f"a policy of {policy.owner.name} for a task with {owner}")
         self.task = task
         self.policy = policy
         self.states: dict[bytes, EpistemicState] = {}
         self.actions: dict[bytes, str | None] = {}
         self.successors: dict[bytes, tuple[bytes, ...] | None] = {}
-        self.views: dict[bytes, tuple[EpistemicState, bytes]] = {}
+        self.views: dict[bytes, EpistemicState] = {}
 
     def add(self, state: EpistemicState) -> bytes:
         key = canonical_key(state)
         if key not in self.states:
             self.states[key] = state
-            if isinstance(self.policy, Policy):
-                self.actions[key] = self.policy.entries.get(self.view(key)[1])
-            else:
-                self.actions[key] = self.policy.action_for(state)
+            self.views[key], view_key = _owner_view(state, self.policy.owner)
+            self.actions[key] = self.policy.entries.get(view_key)
         return key
-
-    def view(self, key: bytes) -> tuple[EpistemicState, bytes]:
-        if key not in self.views:
-            self.views[key] = _owner_view(self.states[key], self.policy.owner)
-        return self.views[key]
 
     def step(self, key: bytes) -> tuple[bytes, ...] | None:
         """The keys of the contracted successor globals of the policy's
@@ -526,7 +522,7 @@ def enumerate_executions(
 
 
 def _executions(
-    task: EpistemicTask, policy, start: EpistemicState, max_steps: int, choose=None
+    task: EpistemicTask, policy: Policy, start: EpistemicState, max_steps: int, choose=None
 ) -> list[Execution]:
     """The step table's walk from ``start``, which must be a global state
     over the task's vocabulary, under a non-negative step bound."""
@@ -546,7 +542,7 @@ def _executions(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # coverage | inapplicable | uniformity | cycle | unsuccessful
+    kind: str  # coverage | inapplicable | cycle | unsuccessful; uniformity holds by construction
     message: str
     trace: tuple[str, ...] = ()
 
@@ -577,17 +573,18 @@ class PolicyReport:
         return f"invalid: {len(self.violations)} violations"
 
 
-def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
-    """Check a policy against the strong-solution definition.
+def validate_policy(task: EpistemicTask, policy: Policy) -> PolicyReport:
+    """Check a policy of the task's owner against the strong-solution definition.
 
     (a) every prescribed action is applicable in the owner's local state;
-    (b) uniformity: states with bisimilar owner-local views get one action;
+    (b) uniformity (states with bisimilar owner-local views get one action)
+    holds by construction, since entries are keyed by the owner view's key;
     (c) the initial state's globals are covered (or already satisfy the
     goal); (d) every execution, enumerated exhaustively, succeeds, and the
-    reachable policy graph is acyclic. The policy only needs ``owner`` and
-    ``action_for``; violations carry a witness trace. Unknown action names
-    raise. One step table serves every walk, so each reachable global
-    state is keyed, looked up and stepped once, and its owner view keyed once."""
+    reachable policy graph is acyclic. Violations carry a witness trace.
+    Unknown action names and another agent's policy raise. One step table
+    serves every walk, so each reachable global state is keyed, looked up
+    and stepped once, and its owner view keyed once."""
     violations: list[Violation] = []
 
     def violate(kind: str, message: str, trace: tuple[str, ...] = ()) -> None:
@@ -599,9 +596,8 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
         if graph.actions[key] is None and not _goal_holds(task, graph.states[key]):
             violate("coverage", "initial global state is neither covered nor a goal state")
 
-    # Walk the reachable policy graph breadth-first, checking (a)/(b) once
-    # per state key; a view-inapplicable state is not stepped.
-    by_view: dict[bytes, str] = {}
+    # Walk the reachable policy graph breadth-first, checking (a) once per
+    # state key; a view-inapplicable state is not stepped.
     frontier: deque[tuple[bytes, tuple[str, ...]]] = deque((key, ()) for key in initial)
     walked: set[bytes] = set()
     while frontier:
@@ -610,13 +606,7 @@ def validate_policy(task: EpistemicTask, policy) -> PolicyReport:
         if key in walked or name is None:
             continue
         walked.add(key)
-        view, view_key = graph.view(key)
-        if view_key in by_view and by_view[view_key] != name:
-            violate(
-                "uniformity", f"bisimilar local states map to {by_view[view_key]} and {name}", trace
-            )
-        by_view.setdefault(view_key, name)
-        if not applicable(view, task.action_named(name)):
+        if not applicable(graph.views[key], task.action_named(name)):
             violate("inapplicable", f"{name} is not applicable in the owner-local state", trace)
             continue
         frontier.extend((succ, trace + (name,)) for succ in graph.step(key) or ())

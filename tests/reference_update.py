@@ -5,11 +5,12 @@ reference that ``tests/test_actions.py`` and ``tests/test_models.py``
 compare the library against, together with ``bisimilar``, the
 refinement-based bisimilarity check that the key property is tested with.
 
-Reachability and the agent-local closure are the per-world searches that
-stood before the single multi-source search and the contracted-state mark
-(``EpistemicModel.union_reach`` and ``reachable_from`` as functions of the
-model, without the per-world cache), so the reference contraction does not
-run the reachability code under test.
+Reachability (``union_reach`` and ``reachable_from``) and the agent-local
+closure are the per-world searches that stood before the library's one
+multi-source search, ``EpistemicModel.closure``, and the contracted-state
+mark. They are written as functions of the model, without a per-world
+cache, so the reference contraction does not run the reachability code
+under test.
 
 ``event_pair_product_update`` is the product update as it stood before
 the pairing (``actions._pair``) and materialization

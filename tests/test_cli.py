@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR, chain_document
-from eplan import Policy, parse_task, product_update
+from conftest import GOLDEN_DIR, SRC_DIR, TASKS_DIR, chain_document, load_doc
+from eplan import Policy, localize, parse_task, product_update, solve_policy
 from eplan.cli import main
 from eplan.dsl import export_dot, serialize_task
 from eplan.logic import render_formula
@@ -440,6 +440,24 @@ class TestValidate:
         assert code == 2
         assert err.splitlines() == ["error: unknown action name: Bogus"]
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "name, owner", [("two_post_offices_ask", "owner Father"), ("ask_private", "no owner")]
+    )
+    @pytest.mark.parametrize("command", ["validate", "execute"])
+    def test_another_agents_policy_file_exits_two(self, capsys, tmp_path, command, name, owner):
+        # The Employee's own policy maps Father's one initial class to two
+        # actions, so it is an input error, as solve --mode policy on a
+        # task without an owner is.
+        task = load_doc(name).task
+        policy = solve_policy(localize(task, task.vocab.agent("Employee")), 10)
+        entries = [{"key": key.hex(), "action": a} for key, a in policy.entries.items()]
+        policy_file = tmp_path / "employee.json"
+        policy_file.write_text(json.dumps({"eplan": 1, "owner": "Employee", "entries": entries}))
+        path = str(TASKS_DIR / f"{name}.eplan")
+        code, out, err = run(capsys, command, path, "--policy", str(policy_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: a policy of Employee for a task with {owner}\n"
 
 
 class TestExecute:

@@ -8,7 +8,15 @@ Two scopes: 2 atoms and 2 agents with at most 2 worlds (772 states), and
 worlds with one label are always bisimilar, so no refinement round can
 split a block and every contracted state has pairwise distinct labels; the
 second reaches both refinement loops (``bisim_contract``'s and the key's
-``_ranks``)."""
+``_ranks``).
+
+A third scope, 1 atom and 2 agents with at most 3 worlds (229,570 states),
+is the smallest with two agents whose refinement can split a block, so a
+refinement signature that drops an agent fails only there. It takes about
+half a minute, so it runs as a script and not in the test suite:
+
+    PYTHONPATH=src python tests/test_exhaustive.py
+"""
 
 from itertools import combinations
 
@@ -56,3 +64,49 @@ def test_common_knowledge_is_truth_on_the_union_reach(two_by_two, text):
             seen.append((eval_world(model, w, phi), expected))
     # Somewhere phi holds at w but not on all of its union reach.
     assert len(seen) == 4 + 768 * 2 and (True, False) in seen
+
+
+def _invariant(state) -> tuple:
+    """A bisimulation invariant: contractions of bisimilar states are
+    isomorphic, so they have the same multiset of (label, designated flag,
+    per-agent row length) over their worlds."""
+    contracted = reference.bisim_contract(state)
+    model = contracted.model
+    return tuple(sorted(
+        (
+            tuple(sorted(a.index for a in model.labels[w])),
+            w in contracted.designated,
+            tuple(len(model.successors(agent, w)) for agent in model.vocab.agents),
+        )
+        for w in range(model.n)
+    ))
+
+
+def check_scope(vocab: Vocabulary, max_worlds: int) -> tuple[int, int, int, int]:
+    """Key equality is bisimilarity on every state of the scope, streamed
+    so that only the first state of each key is kept: every state is
+    bisimilar to its key's first state, and the first states are pairwise
+    not bisimilar. Two states with different invariants cannot be
+    bisimilar, so only the pairs within one invariant bucket are checked.
+    Returns the numbers of states, keys, buckets and checked pairs."""
+    first: dict[bytes, object] = {}
+    n_states = 0
+    for state in all_states(vocab, max_worlds):
+        n_states += 1
+        kept = first.setdefault(canonical_key(state), state)
+        assert kept is state or reference.bisimilar(kept, state), (kept, state)
+    buckets: dict[tuple, list] = {}
+    for state in first.values():
+        buckets.setdefault(_invariant(state), []).append(state)
+    pairs = 0
+    for bucket in buckets.values():
+        for s, t in combinations(bucket, 2):
+            assert not reference.bisimilar(s, t), (s, t)
+            pairs += 1
+    return n_states, len(first), len(buckets), pairs
+
+
+if __name__ == "__main__":
+    counts = check_scope(Vocabulary(["p"], ["a", "b"]), 3)
+    assert counts == (229570, 20010, 4770, 70816), counts
+    print("1 atom, 2 agents, at most 3 worlds: %d states, %d keys, %d buckets, %d pairs" % counts)

@@ -497,19 +497,46 @@ class TestExecute:
         assert picked.outcome == "success" and picked.length == 1
 
 
-class RawPolicy:
-    """A two-post-office policy keyed by the raw global state, not by the
-    owner's view: it breaks uniformity."""
+def bystander_policy(name):
+    """A task file's task and the policy that its Employee solves for its
+    own local task: a policy that is not the owner's."""
+    task = load_doc(name).task
+    return task, solve_policy(localize(task, task.vocab.agent("Employee")), 10)
 
-    def __init__(self, owner):
-        self.owner = owner
 
-    def action_for(self, state):
-        w = next(iter(state.designated))
-        label = state.model.labels[w]
-        if any(a.name == "At(Present,PostOffice1)" for a in label):
-            return "Go(Father,Home,PostOffice1)"
-        return "Go(Father,Home,PostOffice2)"
+class TestOwnerCheck:
+    """Only the owner's policy is uniform by construction, so every policy
+    walk rejects any other: a bystander's policy, or a policy for a task
+    without an owner."""
+
+    def test_bystander_policy_is_not_uniform_for_the_owner(self):
+        # The Employee knows where the present is, so its policy sends
+        # Father to a different post office from each initial global,
+        # though Father cannot tell the two apart.
+        task, policy = bystander_policy("two_post_offices_ask")
+        initial = globals_of(task.initial)
+        assert len(policy) == 7
+        assert [policy.action_for(g) for g in initial] == [
+            "Go(Father,Home,PostOffice1)", "Go(Father,Home,PostOffice2)",
+        ]
+        assert len({planner._owner_view(g, task.owner)[1] for g in initial}) == 1
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("two_post_offices_ask", "a policy of Employee for a task with owner Father"),
+            ("ask_private", "a policy of Employee for a task with no owner"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "walk", [validate_policy, execute, enumerate_executions], ids=lambda f: f.__name__
+    )
+    def test_walks_reject_another_agents_policy(self, walk, name, message):
+        task, policy = bystander_policy(name)
+        starts = () if walk is validate_policy else (globals_of(task.initial)[0],)
+        with pytest.raises(ModelError) as exc:
+            walk(task, policy, *starts)
+        assert str(exc.value) == message
 
 
 class TestValidatePolicy:
@@ -519,13 +546,6 @@ class TestValidatePolicy:
         assert report.ok
         assert len(report.executions) == 2
         assert all(e.outcome == "success" for e in report.executions)
-
-    def test_uniformity_violation_detected(self, po2):
-        # A raw mapping that keys on the exact global state can prescribe
-        # different actions for two owner-indistinguishable globals.
-        report = validate_policy(po2, RawPolicy(po2.owner))
-        assert not report.ok
-        assert any(v.kind == "uniformity" for v in report.violations)
 
     def test_weak_policy_fails_po2_branch(self, po2):
         # Go to PO1, try there, go home, wrap if holding: fails when the
@@ -1206,9 +1226,6 @@ class TestPolicyWalkOracle:
         rng = random.Random(n)
         for _ in range(5):
             assert not self.assert_same(task, random_policy(rng, task, list(policy.entries)))
-
-    def test_raw_state_policy(self, po2):
-        assert not self.assert_same(po2, RawPolicy(po2.owner))
 
     def test_generated_tasks(self):
         rng = random.Random(83)
