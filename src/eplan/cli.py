@@ -281,12 +281,11 @@ def cmd_solve(args, parsed: ParsedDocument) -> int:
 def _policy_rows(policy: Policy) -> list[dict]:
     rows = []
     for key, action in policy.entries.items():
-        state = policy.states.get(key)
         rows.append(
             {
                 "digest": _digest(key),
                 "key": key.hex(),
-                "state": render_state_line(state) if state is not None else "",
+                "state": render_state_line(policy.states[key]),
                 "action": action,
             }
         )
@@ -296,21 +295,17 @@ def _policy_rows(policy: Policy) -> list[dict]:
 def _policy_tree(policy: Policy) -> list[str]:
     """The policy graph unfolded as a tree, depth-first, without recursion."""
     lines = ["tree:"]
-    # (key, indent, keys of its ancestors); children are pushed reversed
-    # so they pop in order.
-    stack = [(key, 1, frozenset()) for key in reversed(policy.roots)]
+    # (key, indent); children are pushed reversed so they pop in order.
+    stack = [(key, 1) for key in reversed(policy.roots)]
     while stack:
-        key, indent, path = stack.pop()
+        key, indent = stack.pop()
         pad = "  " * indent
         action = policy.entries.get(key)
         if action is None:
             lines.append(f"{pad}[{_digest(key)}] (goal)")
-        elif key in path:  # cannot happen for validated policies
-            lines.append(f"{pad}[{_digest(key)}] (cycle)")
         else:
             lines.append(f"{pad}[{_digest(key)}] {action}")
-            inner = path | {key}
-            stack.extend((child, indent + 1, inner) for child in reversed(policy.children[key]))
+            stack.extend((child, indent + 1) for child in reversed(policy.children[key]))
     return lines
 
 

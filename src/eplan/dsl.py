@@ -969,11 +969,7 @@ def _edges(
         table = value.guards(agent)
         one_way = []
         for (u, v), guard in table.items():
-            back = table.get((v, u))
-            # As rendered text: walked without recursion, parsed back the same.
-            if back is not None and (
-                back is guard or render_formula(back) == render_formula(guard)
-            ):
+            if table.get((v, u)) == guard:
                 if u < v:
                     yield agent, u, v, True, guard
             else:

@@ -110,38 +110,49 @@ def _intern(cls, names: Iterable[str], kind: str) -> tuple[tuple, dict]:
 
 
 class Formula:
-    """Base class; concrete nodes below are frozen dataclasses."""
+    """Base class; concrete nodes below are frozen dataclasses. Formulas
+    compare and hash by their pre-order walk, each node's type with its
+    atom or agent, so a long chain needs no recursion; a node's type fixes
+    its arity, so the walk fixes the tree."""
 
     __slots__ = ()
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or _walk(self) == _walk(other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(_walk(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     """Truth: holds at every world."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     """Falsity: holds at no world."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prop(Formula):
     atom: Atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     """Syntactic sugar: equivalent to Not(And(Not(left), Not(right)))."""
 
@@ -149,13 +160,13 @@ class Or(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Knows(Formula):
     agent: Agent
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Common(Formula):
     sub: Formula
 
@@ -188,6 +199,13 @@ def _nodes(phi: Formula) -> Iterator[Formula]:
             stack.append(node.sub)
         elif not isinstance(node, (Top, Bottom, Prop)):
             raise TypeError(f"not a formula: {node!r}")
+
+
+def _walk(phi: Formula) -> tuple:
+    return tuple(
+        (type(node), getattr(node, "atom", None), getattr(node, "agent", None))
+        for node in _nodes(phi)
+    )
 
 
 def is_propositional(phi: Formula) -> bool:

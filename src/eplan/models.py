@@ -332,46 +332,33 @@ def canonical_key(state: EpistemicState) -> bytes:
     """A deterministic byte key with: equal keys iff bisimilar states.
 
     Contracts first (a state marked contracted is used as it is), then
-    orders the (pairwise non-bisimilar) quotient worlds by an iterated
-    signature: label set and designated flag first, then per-agent sorted
-    successor-rank multisets, refined to a fixpoint. Ranks are assigned by
-    sorting signatures, so the final order does not depend on the input's
-    world numbering; any residual tie (impossible after contraction, kept
-    for safety) breaks by world index. When the first signatures are
-    pairwise distinct (always so for one world) they are the order, since
-    a discrete ranking cannot change.
+    ranks the quotient worlds by sorted signatures: label and designated
+    flag first, then per-agent sorted successor-rank multisets, refined
+    until each world has its own rank (first signatures that are pairwise
+    distinct, as for one world, already give that). Refinement always gets
+    there: a stable ranking is a bisimulation, and no two contracted worlds
+    are bisimilar. The ranks, which do not depend on the input's world
+    numbering, are the worlds' positions in the key.
     """
     c = state if state._contracted else bisim_contract(state)
     model, designated = c.model, c.designated
-    vocab, labels, tables = model.vocab, model.labels, model._rows
-    cache = vocab._label_keys
-    n = len(labels)
-    sigs: list[tuple] = [
-        (cache[label] if label in cache else vocab._label_key(label), w in designated)
-        for w, label in enumerate(labels)
-    ]
-    if len(set(sigs)) == n:
-        order = sorted(range(n), key=sigs.__getitem__)
-    else:
-        rank = _ranks(sigs)
-        while max(rank) < n - 1:  # a discrete ranking cannot change
-            new_rank = _ranks([
-                (rank[w], tuple(tuple(sorted(rank[v] for v in table[w])) for table in tables))
-                for w in range(n)
-            ])
-            if new_rank == rank:
-                break
-            rank = new_rank
-        order = sorted(range(n), key=lambda w: (rank[w], w))
-    position = {w: i for i, w in enumerate(order)}
+    vocab, tables = model.vocab, model._rows
+    n = len(model.labels)
+    sigs = [(vocab._label_key(label), w in designated) for w, label in enumerate(model.labels)]
+    rank = _ranks(sigs)
+    while max(rank) < n - 1:
+        rank = _ranks([
+            (rank[w], tuple(tuple(sorted(rank[v] for v in table[w])) for table in tables))
+            for w in range(n)
+        ])
     payload = (
         len(vocab.atoms),
         len(tables),
         n,
-        tuple(sigs[w] for w in order),
+        tuple(sorted(sigs)),  # in rank order: ranks refine the sorted signatures
         tuple(
             tuple(sorted([
-                (position[u], position[v]) for u, row in enumerate(rows) for v in row if v != u
+                (rank[u], rank[v]) for u, row in enumerate(rows) for v in row if v != u
             ]))
             for rows in tables
         ),

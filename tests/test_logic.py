@@ -232,6 +232,23 @@ class TestFormulaBasics:
         assert parse_formula("p & q & !r", vocab) == phi
         assert render_formula(and_all([p] * 3000)) == " & ".join(["p"] * 3000)
 
+    def test_long_chains_compare_and_hash_without_recursion(self):
+        # Equality and hashing walk the formula: 3,000-conjunct chains,
+        # built or parsed, compare and hash, and formulas that differ only
+        # in nesting, in one atom or agent, or in a connective differ.
+        vocab = Vocabulary(["p", "q"], ["a", "b"])
+        p, q = (Prop(x) for x in vocab.atoms)
+        a, b = vocab.agents
+        chain = and_all([p] * 3000)
+        text = " & ".join(["p"] * 3000)
+        assert chain == and_all([p] * 3000) and hash(chain) == hash(and_all([p] * 3000))
+        assert parse_formula(text, vocab) == parse_formula(text, vocab) == chain
+        assert chain != and_all([p] * 2999 + [q])
+        assert And(And(p, p), p) != And(p, And(p, p))
+        assert Knows(a, p) != Knows(b, p) and And(p, q) != Or(p, q)
+        assert {Common(Not(p)), Common(Not(Prop(vocab.atom("p"))))} == {Common(Not(p))}
+        assert p != "p"
+
     def test_bot_parses_renders_and_evaluates(self, po2):
         phi = parse_formula("bot", po2.vocab)
         assert phi == BOTTOM

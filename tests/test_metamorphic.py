@@ -1,15 +1,21 @@
 """Metamorphic relations on the bundled task files: properties that relate
 two runs of the planner, so they need no reference implementation.
 
+Numbering the initial worlds in reverse, or adding a bisimilar copy of an
+initial world, changes no plan or policy (and the copy not the key).
 Raising the depth cap never changes a sequential plan once one is found,
 and a policy found at one cap is found, and validates, at every larger cap.
 Contracting a state before a product update does not change the key of the
 update, nor whether the action is applicable."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import TASK_FILES, load_doc
 from eplan import (
+    EpistemicModel,
+    EpistemicState,
     applicable,
     bisim_contract,
     canonical_key,
@@ -20,6 +26,60 @@ from eplan import (
 )
 
 CAPS = range(10)
+
+
+def _solutions(task):
+    """The seq plans and the policy graphs (entries, roots, children) at caps
+    4 and 8; no policies for a task without an owner."""
+    out = []
+    for cap in (4, 8):
+        out.append(solve_sequential(task, cap))
+        policy = task.owner and solve_policy(task, cap)
+        out.append(policy and (policy.entries, policy.roots, policy.children))
+    return out
+
+
+def _reversed(state):
+    """The same state with its worlds numbered in reverse."""
+    m = state.model
+    last = m.n - 1
+    edges = {agent: [(last - u, last - v) for u, v in pairs] for agent, pairs in m.edges.items()}
+    model = EpistemicModel(m.vocab, m.world_names[::-1], m.labels[::-1], edges)
+    return EpistemicState(model, {last - w for w in state.designated})
+
+
+def _with_copy(state, w):
+    """The state plus a copy of world ``w``: its label and designation, its
+    edges both ways, and every agent's edge from the copy to ``w``."""
+    m = state.model
+    c = m.n
+    edges = {
+        agent: pairs
+        | {(c, v) for u, v in pairs if u == w}
+        | {(u, c) for u, v in pairs if v == w}
+        | {(c, w)}
+        for agent, pairs in m.edges.items()
+    }
+    model = EpistemicModel(
+        m.vocab, m.world_names + (f"{m.world_names[w]}_copy",), m.labels + (m.labels[w],), edges
+    )
+    return EpistemicState(model, state.designated | ({c} if w in state.designated else set()))
+
+
+@pytest.mark.parametrize("name", TASK_FILES)
+def test_reversing_the_initial_worlds_keeps_plans_and_policies(name):
+    task = load_doc(name).task
+    assert _solutions(replace(task, initial=_reversed(task.initial))) == _solutions(task)
+
+
+@pytest.mark.parametrize("name", TASK_FILES)
+def test_a_bisimilar_copy_of_an_initial_world_keeps_key_plans_and_policies(name):
+    task = load_doc(name).task
+    expected = _solutions(task)
+    for w in range(task.initial.model.n):
+        initial = _with_copy(task.initial, w)
+        assert canonical_key(initial) == canonical_key(task.initial)
+        assert _solutions(replace(task, initial=initial)) == expected
 
 
 @pytest.mark.parametrize("name", TASK_FILES)
