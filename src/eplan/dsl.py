@@ -11,6 +11,8 @@ document has been read.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple
@@ -66,57 +68,53 @@ MAX_FORMULA_NESTING = 200
 class Token(NamedTuple):
     kind: str  # "ident" | "punct" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # character offset into the source
 
 
-_TWO_CHAR = {"--", "->"}
-_ONE_CHAR = set("{}()[],:;&|!")
+# A parse problem, as (character offset, message), until _parse_error
+# places it at a line and column.
+_Note = tuple[int, str]
+
+# One lexeme per match, told apart by its group: blanks or a comment, a
+# word, punctuation, or any other character. The groups match disjoint
+# first characters, so the last group never takes a blank.
+_LEXEME = re.compile(r"([ \t\r\n]+|#[^\n]*)|(\w+)|(--|->|[{}()\[\],:;&|!])|(.)", re.S)
 
 
-def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[Token]:
+def _tokenize(text: str, diagnostics: list[_Note]) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("ident", word, line, col))
-            col += i - start
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(Token("eof", "", line, col))
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group == 2:
+            # `\w` is isalnum() or `_`, but a name starts with a letter or
+            # `_`: each character before the first one is unexpected.
+            pos, word = m.start(), m[2]
+            while word and not (word[0].isalpha() or word[0] == "_"):
+                diagnostics.append((pos, f"unexpected character {word[0]!r}"))
+                pos, word = pos + 1, word[1:]
+            if word:
+                tokens.append(Token("ident", word, pos))
+        elif group == 3:
+            tokens.append(Token("punct", m[3], m.start()))
+        elif group == 4:
+            diagnostics.append((m.start(), f"unexpected character {m[4]!r}"))
+    # A `#` always starts a comment, and a comment on the last line ends
+    # the input at its `#`.
+    end = text.find("#", text.rfind("\n") + 1)
+    tokens.append(Token("eof", "", len(text) if end < 0 else end))
     return tokens
+
+
+def _parse_error(text: str, notes: list[_Note]) -> TaskParseError:
+    """The error listing ``notes`` in order, each placed at the line and
+    column of its offset into ``text``: both count from 1, and a column
+    counts characters, so a tab or a `\\r` is one column."""
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    diagnostics = []
+    for pos, message in notes:
+        line = bisect_right(starts, pos)
+        diagnostics.append(Diagnostic(line, pos - starts[line - 1] + 1, message))
+    return TaskParseError(diagnostics)
 
 
 class _Abort(Exception):
@@ -124,7 +122,7 @@ class _Abort(Exception):
 
 
 class _Stream:
-    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: list[Token], diagnostics: list[_Note]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
@@ -149,7 +147,7 @@ class _Stream:
 
     def error(self, message: str, tok: Token | None = None) -> _Abort:
         tok = tok or self.peek()
-        self.diagnostics.append(Diagnostic(tok.line, tok.col, message))
+        self.diagnostics.append((tok.pos, message))
         return _Abort()
 
     def expect(self, text: str) -> Token:
@@ -193,22 +191,22 @@ class _Stream:
             self.next()
 
 
-def _find(diagnostics: list[Diagnostic], table: dict, name: Token, what: str):
+def _find(diagnostics: list[_Note], table: dict, name: Token, what: str):
     """``table[name.text]``, or None after an ``unknown <what>: <name>``
     diagnostic at the name. Callers test ``is None``: a world or event
     index of 0 is found."""
     value = table.get(name.text)
     if value is None:
-        diagnostics.append(Diagnostic(name.line, name.col, f"unknown {what}: {name.text}"))
+        diagnostics.append((name.pos, f"unknown {what}: {name.text}"))
     return value
 
 
-def _declare(diagnostics: list[Diagnostic], table: dict, name: Token, value, what: str) -> bool:
+def _declare(diagnostics: list[_Note], table: dict, name: Token, value, what: str) -> bool:
     """Enter ``value`` as ``table[name.text]`` and return True; or, when the
     name is already there, keep the first declaration and return False
     after a ``duplicate <what>: <name>`` diagnostic at the name."""
     if name.text in table:
-        diagnostics.append(Diagnostic(name.line, name.col, f"duplicate {what}: {name.text}"))
+        diagnostics.append((name.pos, f"duplicate {what}: {name.text}"))
         return False
     table[name.text] = value
     return True
@@ -287,7 +285,7 @@ def _parse_ref(s: _Stream, what: str = "a name") -> Token:
     head, args = _parse_call(s, what)
     if not args:
         return head
-    return Token("ident", applied_name(head.text, [a.text for a in args]), head.line, head.col)
+    return Token("ident", applied_name(head.text, [a.text for a in args]), head.pos)
 
 
 def _parse_name_list(s: _Stream, what: str, read=_parse_ref) -> list[Token]:
@@ -341,9 +339,7 @@ def _parse_raw(s: _Stream) -> _RawDocument:
     while s.peek().kind != "eof":
         tok = s.peek()
         if tok.kind != "ident" or tok.text not in BLOCK_KEYWORDS:
-            s.diagnostics.append(
-                Diagnostic(tok.line, tok.col, f"expected a block, found {tok.text!r}")
-            )
+            s.diagnostics.append((tok.pos, f"expected a block, found {tok.text!r}"))
             s.next()
             s.skip_to_recovery()
             continue
@@ -503,9 +499,9 @@ def _event_body(s: _Stream) -> dict[str, list[Token]]:
 
 
 class _FormulaParser:
-    def __init__(self, tokens: list[Token], vocab: Vocabulary, diagnostics: list[Diagnostic]):
-        end = tokens[-1] if tokens else Token("eof", "", 1, 1)
-        self.stream = _Stream(tokens + [Token("eof", "", end.line, end.col)], diagnostics)
+    def __init__(self, tokens: list[Token], vocab: Vocabulary, diagnostics: list[_Note]):
+        end = Token("eof", "", tokens[-1].pos if tokens else 0)
+        self.stream = _Stream(tokens + [end], diagnostics)
         self.vocab = vocab
         self.depth = 0
 
@@ -574,16 +570,15 @@ class _FormulaParser:
 
 def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     """Parse a standalone formula in the task syntax; raises TaskParseError."""
-    diagnostics: list[Diagnostic] = []
+    diagnostics: list[_Note] = []
     tokens = _tokenize(text, diagnostics)
-    if diagnostics:
-        raise TaskParseError(diagnostics)
     try:
-        phi = _FormulaParser(tokens[:-1], vocab, diagnostics).parse()
+        if not diagnostics:
+            phi = _FormulaParser(tokens[:-1], vocab, diagnostics).parse()
     except _Abort:
-        raise TaskParseError(diagnostics) from None
+        pass  # each _Abort follows its diagnostic
     if diagnostics:
-        raise TaskParseError(diagnostics)
+        raise _parse_error(text, diagnostics)
     return phi
 
 
@@ -605,31 +600,27 @@ def parse_task(text: str | bytes) -> ParsedDocument:
     Raises :class:`TaskParseError` with positioned diagnostics for lexical,
     syntactic, resolution, and semantic problems.
     """
-    diagnostics: list[Diagnostic] = []
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TaskParseError(
-                [Diagnostic(1, 1, f"input is not valid UTF-8: {exc.reason}")]
-            ) from None
+            raise _parse_error("", [(0, f"input is not valid UTF-8: {exc.reason}")]) from None
+    diagnostics: list[_Note] = []
     tokens = _tokenize(text, diagnostics)
-    stream = _Stream(tokens, diagnostics)
-    doc = _parse_raw(stream)
-
+    doc = _parse_raw(_Stream(tokens, diagnostics))
     parsed = _Resolver(doc, diagnostics).resolve()
     if parsed is None:
-        raise TaskParseError(diagnostics)
+        raise _parse_error(text, diagnostics)
     return parsed
 
 
 class _Resolver:
-    def __init__(self, doc: _RawDocument, diagnostics: list[Diagnostic]):
+    def __init__(self, doc: _RawDocument, diagnostics: list[_Note]):
         self.doc = doc
         self.diagnostics = diagnostics
 
     def note(self, where: Token, message: str) -> None:
-        self.diagnostics.append(Diagnostic(where.line, where.col, message))
+        self.diagnostics.append((where.pos, message))
 
     def resolve(self) -> ParsedDocument | None:
         """The resolved document, or None after at least one diagnostic."""
@@ -644,7 +635,7 @@ class _Resolver:
         goal = self._build_goal()
 
         if not doc.tasks:
-            self.diagnostics.append(Diagnostic(1, 1, "missing task block"))
+            self.diagnostics.append((0, "missing task block"))
             return None
         if len(doc.tasks) > 1:
             self.note(doc.tasks[1].where, "more than one task block")
@@ -716,7 +707,7 @@ class _Resolver:
                     self.note(arg, f"sort {arg.text} has no objects")
                 domains.append(self.sorts[arg.text])
             for combo in product(*domains):
-                name = Token("ident", applied_name(head.text, combo), head.line, head.col)
+                name = Token("ident", applied_name(head.text, combo), head.pos)
                 _declare(self.diagnostics, atoms, name, None, "atom")
 
         if self.diagnostics:
@@ -934,7 +925,7 @@ def serialize_task(task: EpistemicTask) -> str:
 
 def _reads_back(name: str) -> bool:
     """Whether :func:`_parse_ref` reads ``name`` back whole as one name."""
-    diagnostics: list[Diagnostic] = []
+    diagnostics: list[_Note] = []
     s = _Stream(_tokenize(name, diagnostics), diagnostics)
     try:
         return _parse_ref(s).text == name and s.peek().kind == "eof"

@@ -362,6 +362,8 @@ def solve_policy(task: EpistemicTask, depth_cap: int) -> Policy | None:
                     ready[key] = min(index, ready.get(key, index))
         chosen.update(ready)
         layer = list(ready)
+        if not layer:
+            break  # a round that readies no node leaves every later round idle
 
     root_keys = tuple(key for key, _ in roots)
     if any(key not in chosen and not nodes[key].goal for key in root_keys):

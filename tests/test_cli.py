@@ -213,6 +213,16 @@ class TestSolvePolicy:
         )
         assert out == first  # same seed, same trace
 
+    def test_huge_depth_cap_gives_the_closed_policy(self, capsys):
+        # The policy graph closes below cap 8, so labelling stops once a
+        # round readies no node instead of running one round per unit of
+        # the cap.
+        code, expected, _ = run(capsys, "solve", PO2, "--mode", "policy", "--max-depth", "8")
+        assert code == 0
+        argv = ["-m", "eplan", "solve", PO2, "--mode", "policy", "--max-depth", "1000000000000"]
+        proc = _run_python(*argv, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
     def test_policy_needs_owner(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "solve", PRIVATE, "--mode", "policy", "--max-depth", "4"
@@ -722,11 +732,13 @@ class TestErrors:
         assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
 
 
-def _run_python(*argv, **env):
+def _run_python(*argv, timeout=None, **env):
     """Run a Python subprocess on the package under test, with ``env``
-    added to its environment."""
+    added to its environment, for at most ``timeout`` seconds."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )

@@ -3,29 +3,40 @@ two runs of the planner, so they need no reference implementation.
 
 Numbering the initial worlds in reverse, or adding a bisimilar copy of an
 initial world, changes no plan or policy (and the copy not the key).
+Prefixing every name in a document changes no key, and changes plans and
+policies only by the same renaming.
 Raising the depth cap never changes a sequential plan once one is found,
 and a policy found at one cap is found, and validates, at every larger cap.
 Contracting a state before a product update does not change the key of the
 update, nor whether the action is applicable."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
-from conftest import TASK_FILES, load_doc
+from conftest import TASK_FILES, TASKS_DIR, load_doc
 from eplan import (
     EpistemicModel,
     EpistemicState,
     applicable,
     bisim_contract,
     canonical_key,
+    parse_task,
     product_update,
     solve_policy,
     solve_sequential,
     validate_policy,
 )
+from eplan.dsl import BLOCK_KEYWORDS, RESERVED_HEADS
 
 CAPS = range(10)
+# The words of the syntax, which keep their meaning only unrenamed.
+KEYWORDS = {
+    *BLOCK_KEYWORDS,
+    *RESERVED_HEADS,
+    *"world event edge designated pre post effect initial actions owner if".split(),
+}
 
 
 def _solutions(task):
@@ -37,6 +48,12 @@ def _solutions(task):
         policy = task.owner and solve_policy(task, cap)
         out.append(policy and (policy.entries, policy.roots, policy.children))
     return out
+
+
+def _renamed(text):
+    """``text`` with one fixed prefix on every word that is not a keyword,
+    so any two names sort as they did."""
+    return re.sub(r"\w+", lambda m: m[0] if m[0] in KEYWORDS else "n_" + m[0], text)
 
 
 def _reversed(state):
@@ -80,6 +97,23 @@ def test_a_bisimilar_copy_of_an_initial_world_keeps_key_plans_and_policies(name)
         initial = _with_copy(task.initial, w)
         assert canonical_key(initial) == canonical_key(task.initial)
         assert _solutions(replace(task, initial=initial)) == expected
+
+
+@pytest.mark.parametrize("name", TASK_FILES)
+def test_renaming_every_name_keeps_key_plans_and_policies(name):
+    task = load_doc(name).task
+    text = (TASKS_DIR / f"{name}.eplan").read_text(encoding="utf-8")
+    renamed = parse_task(_renamed(text)).task
+    assert canonical_key(renamed.initial) == canonical_key(task.initial)
+    expected = []
+    for solution in _solutions(task):
+        if isinstance(solution, tuple):
+            entries, roots, children = solution
+            solution = ({key: _renamed(a) for key, a in entries.items()}, roots, children)
+        elif solution is not None:
+            solution = replace(solution, steps=tuple(map(_renamed, solution.steps)))
+        expected.append(solution)
+    assert _solutions(renamed) == expected
 
 
 @pytest.mark.parametrize("name", TASK_FILES)
